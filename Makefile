@@ -56,14 +56,14 @@ smoke-serve:
 smoke-online:
 	sh scripts/smoke_online.sh
 
-# bench-inference regenerates BENCH_inference.json (single-sample vs batched
-# engine at the paper and Quick configs).
+# bench-inference regenerates BENCH_inference.json (the batched inference
+# engine at the paper and Quick configs, plus the worker-scaling ladder).
 bench-inference:
 	$(GO) run ./cmd/bench
 
-# bench-training regenerates BENCH_training.json (single-sample vs batched
-# A3C training engine at the paper and Quick configs, one worker, plus the
-# envs-per-worker ladder of the vectorized lockstep engine).
+# bench-training regenerates BENCH_training.json (the batched A3C training
+# engine at the paper and Quick configs, one worker, plus the worker ladder
+# and the envs-per-worker ladder of the vectorized lockstep engine).
 bench-training:
 	$(GO) run ./cmd/bench -mode training -o BENCH_training.json
 

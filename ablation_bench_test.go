@@ -52,11 +52,11 @@ func trainAndScore(b *testing.B, trainCfg rl.A3CConfig, reward mdp.RewardConfig,
 	if err != nil {
 		b.Fatal(err)
 	}
-	factory, err := rl.TraceFactory(m, tr, trainCfg.Net.HistLen, reward, pricing.Hot)
+	src, err := rl.NewTraceSource(m, tr, trainCfg.Net.HistLen, reward, pricing.Hot)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := a3c.Train(factory, steps); err != nil {
+	if _, err := a3c.TrainFrom(src, steps); err != nil {
 		b.Fatal(err)
 	}
 	bd, _, err := rl.EvaluateAgent(a3c.Snapshot(), m, tr, trainCfg.Net.HistLen, pricing.Hot)
@@ -145,35 +145,6 @@ func BenchmarkAblationNoConvFrontEnd(b *testing.B) {
 	b.ReportMetric(score, "cost/hot")
 }
 
-// BenchmarkAblationDQN trains the replay-based DQN (Algorithm 1's literal
-// loop) instead of A3C on the same budget, for a learner-family comparison.
-func BenchmarkAblationDQN(b *testing.B) {
-	var score float64
-	for i := 0; i < b.N; i++ {
-		tr, m, hot := ablationWorkload(b)
-		cfg := rl.DefaultDQNConfig()
-		cfg.Net = ablationTrainCfg().Net
-		cfg.Seed = 5
-		d, err := rl.NewDQN(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		factory, err := rl.TraceFactory(m, tr, cfg.Net.HistLen, mdp.DefaultReward(), pricing.Hot)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := d.Train(factory, ablationSteps); err != nil {
-			b.Fatal(err)
-		}
-		bd, _, err := rl.EvaluateAgent(d.Agent(), m, tr, cfg.Net.HistLen, pricing.Hot)
-		if err != nil {
-			b.Fatal(err)
-		}
-		score = bd.Total() / hot
-	}
-	b.ReportMetric(score, "cost/hot")
-}
-
 // BenchmarkAblationWorkers measures training throughput scaling with the
 // number of asynchronous workers.
 func BenchmarkAblationWorkers(b *testing.B) {
@@ -186,12 +157,12 @@ func BenchmarkAblationWorkers(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			factory, err := rl.TraceFactory(m, tr, cfg.Net.HistLen, mdp.DefaultReward(), pricing.Hot)
+			src, err := rl.NewTraceSource(m, tr, cfg.Net.HistLen, mdp.DefaultReward(), pricing.Hot)
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
-			if _, err := a3c.Train(factory, int64(b.N)); err != nil {
+			if _, err := a3c.TrainFrom(src, int64(b.N)); err != nil {
 				b.Fatal(err)
 			}
 		})

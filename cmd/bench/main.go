@@ -1,18 +1,21 @@
-// Command bench measures the batched engines against their single-sample
-// reference paths and emits JSON so the perf trajectory is tracked from run
-// to run:
+// Command bench measures MiniCost's engines and emits JSON so the perf
+// trajectory is tracked from run to run:
 //
-//   - mode "inference" (BENCH_inference.json): policy.RL serving throughput,
-//     single-sample versus the batched GEMM engine, at the paper's network
-//     configuration and the Quick test configuration.
-//   - mode "training" (BENCH_training.json): A3C training steps/sec,
-//     per-sample updates with mutex pulls versus the batched training engine
-//     with snapshot pulls, at the same configurations (paper: 128 filters,
-//     NSteps 7).
+//   - mode "inference" (BENCH_inference.json): policy.RL serving throughput
+//     of the batched GEMM engine at the paper's network configuration and
+//     the Quick test configuration.
+//   - mode "training" (BENCH_training.json): A3C training steps/sec of the
+//     batched training engine at the same configurations (paper: 128
+//     filters, NSteps 7).
 //   - mode "evaluation" (BENCH_evaluation.json): the Fig. 7 horizon sweep on
 //     one core, per-window reference engine versus the single-pass sweep
 //     engine, at the experiments Quick and Full configurations (random
 //     agent — runtime is weight-independent).
+//
+// The single-sample engines these replaced survive only as test oracles;
+// their speedups are reproducible with the go test -bench pairs
+// BenchmarkInferenceSingle/Batched (internal/policy) and
+// BenchmarkTrainStepSingle/Batched (internal/rl).
 //
 // Every mode additionally emits worker-scaling rows: the fast engine rerun
 // at each -scale-workers count with GOMAXPROCS pinned to that count, tagged
@@ -66,19 +69,18 @@ import (
 
 // result is one (config, engine, workers) measurement.
 type result struct {
-	Config     string  `json:"config"`
-	HistLen    int     `json:"hist_len"`
-	Filters    int     `json:"filters"`
-	Hidden     int     `json:"hidden"`
-	Files      int     `json:"files"`
-	Days       int     `json:"days"`
-	Engine     string  `json:"engine"` // "single" or "batched"
-	Workers    int     `json:"workers"`
-	Rounds     int     `json:"rounds"`
-	NsPerDec   float64 `json:"ns_per_decision"`
-	DecPerSec  float64 `json:"decisions_per_second"`
-	TotalMS    float64 `json:"total_ms"`
-	SpeedupVs1 float64 `json:"speedup_vs_single,omitempty"`
+	Config    string  `json:"config"`
+	HistLen   int     `json:"hist_len"`
+	Filters   int     `json:"filters"`
+	Hidden    int     `json:"hidden"`
+	Files     int     `json:"files"`
+	Days      int     `json:"days"`
+	Engine    string  `json:"engine"` // "batched"
+	Workers   int     `json:"workers"`
+	Rounds    int     `json:"rounds"`
+	NsPerDec  float64 `json:"ns_per_decision"`
+	DecPerSec float64 `json:"decisions_per_second"`
+	TotalMS   float64 `json:"total_ms"`
 	// ScalingEfficiency is set on worker-scaling rows: throughput relative
 	// to the ladder's base worker count, normalized so linear scaling is 1.
 	ScalingEfficiency float64 `json:"scaling_efficiency,omitempty"`
@@ -98,12 +100,11 @@ type trainResult struct {
 	Hidden      int     `json:"hidden"`
 	NSteps      int     `json:"n_steps"`
 	Workers     int     `json:"workers"`
-	Engine      string  `json:"engine"` // "single", "batched" or "vectorized"
+	Engine      string  `json:"engine"` // "batched" or "vectorized"
 	Rounds      int     `json:"rounds"`
 	Steps       int64   `json:"steps"`
 	StepsPerSec float64 `json:"steps_per_second"`
 	TotalMS     float64 `json:"total_ms"`
-	SpeedupVs1  float64 `json:"speedup_vs_single,omitempty"`
 	// EnvsPerWorker is set on envs-ladder rows: the lockstep width of the
 	// vectorized rollout engine; SpeedupVsE1 is the row's throughput over
 	// the ladder's E=1 row.
@@ -307,24 +308,10 @@ func benchInference(files, days, rounds int, scale []int) report {
 			return res
 		}
 
-		single := measure(policy.RL{Agent: agent, SingleSample: true, Workers: 1}, tr, m, rounds)
 		batched := measure(policy.RL{Agent: agent, Workers: 1}, tr, m, rounds)
-
-		for _, r := range []struct {
-			engine string
-			best   time.Duration
-		}{{"single", single}, {"batched", batched}} {
-			res := mkResult(r.engine, 1, runtime.GOMAXPROCS(0), r.best)
-			if r.engine == "batched" {
-				res.SpeedupVs1 = single.Seconds() / r.best.Seconds()
-			}
-			rep.Results = append(rep.Results, res)
-			fmt.Printf("%-9s %-8s %10.0f ns/decision  %12.0f decisions/s", cfg.name, r.engine, res.NsPerDec, res.DecPerSec)
-			if res.SpeedupVs1 > 0 {
-				fmt.Printf("  %.2fx vs single", res.SpeedupVs1)
-			}
-			fmt.Println()
-		}
+		res := mkResult("batched", 1, runtime.GOMAXPROCS(0), batched)
+		rep.Results = append(rep.Results, res)
+		fmt.Printf("%-9s %-8s %10.0f ns/decision  %12.0f decisions/s\n", cfg.name, "batched", res.NsPerDec, res.DecPerSec)
 
 		// Worker-scaling ladder: the batched engine rerun at each worker
 		// count with GOMAXPROCS pinned to match.
@@ -372,24 +359,10 @@ func benchTraining(steps int64, workers, rounds int, scale, envs []int) report {
 			return res
 		}
 
-		single := measureTraining(cfg.net, tr, m, true, steps, workers, 1, rounds)
-		batched := measureTraining(cfg.net, tr, m, false, steps, workers, 1, rounds)
-
-		for _, r := range []struct {
-			engine string
-			best   time.Duration
-		}{{"single", single}, {"batched", batched}} {
-			res := mkResult(r.engine, workers, runtime.GOMAXPROCS(0), steps, r.best)
-			if r.engine == "batched" {
-				res.SpeedupVs1 = single.Seconds() / r.best.Seconds()
-			}
-			rep.Training = append(rep.Training, res)
-			fmt.Printf("%-9s %-10s %12.0f steps/s", cfg.name, r.engine, res.StepsPerSec)
-			if res.SpeedupVs1 > 0 {
-				fmt.Printf("  %.2fx vs single", res.SpeedupVs1)
-			}
-			fmt.Println()
-		}
+		batched := measureTraining(cfg.net, tr, m, steps, workers, 1, rounds)
+		res := mkResult("batched", workers, runtime.GOMAXPROCS(0), steps, batched)
+		rep.Training = append(rep.Training, res)
+		fmt.Printf("%-9s %-10s %12.0f steps/s\n", cfg.name, "batched", res.StepsPerSec)
 
 		// Worker-scaling ladder: the batched trainer rerun with w A3C
 		// workers and GOMAXPROCS pinned to match, so the rows measure the
@@ -397,7 +370,7 @@ func benchTraining(steps int64, workers, rounds int, scale, envs []int) report {
 		var baseThr float64
 		for i, w := range scale {
 			best := scaledRun(w, func() time.Duration {
-				return measureTraining(cfg.net, tr, m, false, steps, w, 1, rounds)
+				return measureTraining(cfg.net, tr, m, steps, w, 1, rounds)
 			})
 			res := mkResult("batched", w, w, steps, best)
 			if i == 0 {
@@ -426,7 +399,7 @@ func benchTraining(steps int64, workers, rounds int, scale, envs []int) report {
 			if e > 1 {
 				engine = "vectorized"
 			}
-			best := measureTraining(cfg.net, tr, m, false, envSteps, 1, e, rounds)
+			best := measureTraining(cfg.net, tr, m, envSteps, 1, e, rounds)
 			res := mkResult(engine, 1, runtime.GOMAXPROCS(0), envSteps, best)
 			res.EnvsPerWorker = e
 			if i == 0 {
@@ -573,18 +546,17 @@ func measure(p policy.RL, tr *trace.Trace, m *costmodel.Model, rounds int) time.
 	return best
 }
 
-// measureTraining times a fresh Train run of `steps` environment steps per
-// round (after a shorter warm-up run) and returns the best round. Each round
-// rebuilds the trainer so step counts, annealing and optimizer state are
-// identical across rounds and engines; envs > 1 selects the vectorized
+// measureTraining times a fresh TrainFrom run of `steps` environment steps
+// per round (after a shorter warm-up run) and returns the best round. Each
+// round rebuilds the trainer so step counts, annealing and optimizer state
+// are identical across rounds and engines; envs > 1 selects the vectorized
 // lockstep engine.
-func measureTraining(net rl.NetConfig, tr *trace.Trace, m *costmodel.Model, singleSample bool, steps int64, workers, envs, rounds int) time.Duration {
+func measureTraining(net rl.NetConfig, tr *trace.Trace, m *costmodel.Model, steps int64, workers, envs, rounds int) time.Duration {
 	cfg := rl.DefaultA3CConfig()
 	cfg.Net = net
 	cfg.Workers = workers
 	cfg.EnvsPerWorker = envs
 	cfg.Seed = 7
-	cfg.SingleSample = singleSample
 	run := func(n int64) time.Duration {
 		a3c, err := rl.NewA3C(cfg)
 		if err != nil {

@@ -330,6 +330,9 @@ func (s *Server) UpdateAgent(agent *rl.Agent) error {
 // under its own lock — no global lock on the hot path. Duplicate IDs
 // within the batch are last-wins and counted in the response.
 func (s *Server) Observe(req *ObserveRequest) (*ObserveResponse, error) {
+	if req == nil {
+		return nil, errors.New("agentserver: nil observation batch")
+	}
 	n := len(req.Files)
 	if n == 0 {
 		return nil, errors.New("agentserver: empty observation batch")
@@ -339,7 +342,7 @@ func (s *Server) Observe(req *ObserveRequest) (*ObserveResponse, error) {
 		if f.ID == "" {
 			return nil, errors.New("agentserver: observation without id")
 		}
-		if !(f.SizeGB > 0) || f.Reads < 0 || f.Writes < 0 {
+		if !validObservation(f) {
 			return nil, fmt.Errorf("agentserver: invalid observation for %q", f.ID)
 		}
 	}
@@ -378,6 +381,17 @@ func (s *Server) Observe(req *ObserveRequest) (*ObserveResponse, error) {
 	return &ObserveResponse{Accepted: n, Tracked: tracked, Duplicates: dups}, nil
 }
 
+// validObservation reports whether an observation's numbers are usable: a
+// finite positive size and finite non-negative request counts. NaN fails
+// every comparison, so it is rejected along with ±Inf. JSON cannot carry
+// either, but Go API callers can.
+func validObservation(f *FileObservation) bool {
+	const maxF = math.MaxFloat64
+	return f.SizeGB > 0 && f.SizeGB <= maxF &&
+		f.Reads >= 0 && f.Reads <= maxF &&
+		f.Writes >= 0 && f.Writes <= maxF
+}
+
 // bucketByShard partitions batch positions by owning shard with a stable
 // counting sort, so each shard sees its entries in batch order (the
 // last-wins duplicate contract depends on that).
@@ -387,7 +401,7 @@ func (s *Server) bucketByShard(files []FileObservation) (offsets []int32, order 
 	home := make([]int32, n)
 	counts := make([]int32, p+1)
 	for i := range files {
-		si := int32(shardOf(files[i].ID, s.shardMask))
+		si := int32(ShardOf(files[i].ID, s.shardMask))
 		home[i] = si
 		counts[si+1]++
 	}

@@ -1,6 +1,7 @@
 package agentserver
 
 import (
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -103,6 +104,44 @@ func TestObserveValidation(t *testing.T) {
 	} {
 		if _, err := c.Observe(req); err == nil {
 			t.Errorf("%s accepted", name)
+		}
+	}
+}
+
+// TestObserveRejectsNonFiniteAndNil drives the Go API directly, where no
+// JSON decoder stands in front of Observe: a nil batch, NaN and ±Inf in
+// every numeric field must be rejected, and a rejected batch must leave the
+// store untouched even when a valid entry precedes the bad one.
+func TestObserveRejectsNonFiniteAndNil(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	bad := func(f FileObservation) *ObserveRequest {
+		f.ID = "bad"
+		return &ObserveRequest{Files: []FileObservation{obsv("good", 10), f}}
+	}
+	for _, c := range []struct {
+		name string
+		req  *ObserveRequest
+	}{
+		{"nil", nil},
+		{"nan-size", bad(FileObservation{SizeGB: nan})},
+		{"nan-reads", bad(FileObservation{SizeGB: 0.1, Reads: nan})},
+		{"nan-writes", bad(FileObservation{SizeGB: 0.1, Writes: nan})},
+		{"inf-size", bad(FileObservation{SizeGB: inf})},
+		{"inf-reads", bad(FileObservation{SizeGB: 0.1, Reads: inf})},
+		{"inf-writes", bad(FileObservation{SizeGB: 0.1, Writes: inf})},
+		{"neg-inf-size", bad(FileObservation{SizeGB: -inf})},
+		{"neg-inf-reads", bad(FileObservation{SizeGB: 0.1, Reads: -inf})},
+		{"neg-inf-writes", bad(FileObservation{SizeGB: 0.1, Writes: -inf})},
+	} {
+		s, err := New(testAgent(), pricing.Hot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Observe(c.req); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+		if got := s.Stats().TrackedFiles; got != 0 {
+			t.Errorf("%s: rejected batch left %d tracked files", c.name, got)
 		}
 	}
 }
@@ -216,20 +255,20 @@ func TestShardWindowRing(t *testing.T) {
 	}
 }
 
-// TestShardHashStable pins that shardOf is a pure function of the ID and
+// TestShardHashStable pins that ShardOf is a pure function of the ID and
 // respects the mask.
 func TestShardHashStable(t *testing.T) {
 	const mask = 15
 	for _, id := range []string{"", "a", "file-123", "…unicode…"} {
-		a, b := shardOf(id, mask), shardOf(id, mask)
+		a, b := ShardOf(id, mask), ShardOf(id, mask)
 		if a != b {
-			t.Fatalf("shardOf(%q) unstable: %d vs %d", id, a, b)
+			t.Fatalf("ShardOf(%q) unstable: %d vs %d", id, a, b)
 		}
 		if a > mask {
-			t.Fatalf("shardOf(%q) = %d exceeds mask %d", id, a, mask)
+			t.Fatalf("ShardOf(%q) = %d exceeds mask %d", id, a, mask)
 		}
 	}
-	if got := shardOf("anything", 0); got != 0 {
+	if got := ShardOf("anything", 0); got != 0 {
 		t.Fatalf("mask 0 must map to shard 0, got %d", got)
 	}
 }
@@ -277,7 +316,7 @@ func TestObserveDuplicateLastWins(t *testing.T) {
 			t.Fatalf("shards=%d duplicates %d, want 2", shards, resp.Duplicates)
 		}
 		// One observe day recorded for dup, holding the last value.
-		sh := s.shards[shardOf("dup", s.shardMask)]
+		sh := s.shards[ShardOf("dup", s.shardMask)]
 		slot := sh.index["dup"]
 		if got := sh.fill[slot]; got != 1 {
 			t.Fatalf("shards=%d dup fill %d, want 1 (window advanced once)", shards, got)

@@ -96,14 +96,27 @@ func newShard(histLen int) *shard {
 	}
 }
 
-// shardOf hashes a file ID (FNV-1a 64, folded) onto a shard index; mask is
-// shardCount-1 (shard counts are powers of two).
-func shardOf(id string, mask uint32) uint32 {
+// HashID is the FNV-1a 64 hash of a file ID: the one file-identity hash the
+// serving store and the online learner both key on, so co-located
+// deployments shard compatibly and the learner's holdout split is a stable
+// function of file identity alone.
+//
+//minicost:hotpath
+func HashID(id string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(id); i++ {
 		h ^= uint64(id[i])
 		h *= 1099511628211
 	}
+	return h
+}
+
+// ShardOf folds HashID onto a shard index; mask is shardCount-1 (shard
+// counts are powers of two).
+//
+//minicost:hotpath
+func ShardOf(id string, mask uint32) uint32 {
+	h := HashID(id)
 	return uint32(h^(h>>32)) & mask
 }
 

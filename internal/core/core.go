@@ -14,6 +14,7 @@ import (
 	"minicost/internal/aggregate"
 	"minicost/internal/cloudsim"
 	"minicost/internal/costmodel"
+	"minicost/internal/mat"
 	"minicost/internal/mdp"
 	"minicost/internal/par"
 	"minicost/internal/policy"
@@ -172,15 +173,19 @@ func (s *System) Run(tr *trace.Trace) (*RunReport, error) {
 	}
 	store, ids := cloudsim.FromTrace(s.model, tr, s.cfg.InitialTier)
 
+	n := tr.NumFiles()
 	histLen := s.cfg.A3C.Net.HistLen
 	reward := s.cfg.Reward
-	envs := make([]*mdp.Env, tr.NumFiles())
-	states := make([]mdp.State, tr.NumFiles())
+	envs := make([]*mdp.Env, n)
+	states := make([]mdp.State, n)
 	for i := range envs {
 		env, err := mdp.NewEnv(s.model, tr.Files[i].SizeGB, tr.Reads[i], tr.Writes[i], s.cfg.InitialTier, histLen, reward)
 		if err != nil {
 			return nil, err
 		}
+		// Each day's states are encoded before the envs step, so recycled
+		// observations are safe here.
+		env.EnableStateReuse()
 		envs[i] = env
 		states[i] = env.Reset()
 	}
@@ -201,32 +206,30 @@ func (s *System) Run(tr *trace.Trace) (*RunReport, error) {
 	replicaOf := make(map[int]cloudsim.ObjectID)
 
 	report := &RunReport{}
-	reads := make([]float64, tr.NumFiles())
-	writes := make([]float64, tr.NumFiles())
-	// One agent replica per evaluation worker: Decide caches activations,
-	// so replicas cannot be shared across goroutines.
-	workers := s.cfg.Workers
-	if workers <= 0 {
-		workers = par.DefaultWorkers()
-	}
-	agentPool := make(chan *rl.Agent, workers)
-	for w := 0; w < workers; w++ {
-		agentPool <- s.agent.Clone()
-	}
+	reads := make([]float64, n)
+	writes := make([]float64, n)
+	// The batched engine, as in policy.RL: pooled replicas (the network
+	// caches activations, so one replica per concurrent chunk) decide
+	// DefaultBatchRows-row chunks of one day-wide feature matrix.
+	pool := rl.NewReplicaPool(s.agent)
+	feats := mat.New(n, mdp.FeatureDim(histLen))
+	decisions := make([]pricing.Tier, n)
 
 	for day := 0; day < tr.Days; day++ {
 		// 1. Decide today's tiers (timed: this is Fig. 12's overhead).
-		// Decisions are independent across files, so they shard across
+		// Decisions are independent across files, so chunks shard across
 		// workers — the serving-side counterpart of the paper's cluster
 		// parallelism.
 		start := time.Now()
-		decisions := make([]pricing.Tier, tr.NumFiles())
-		par.ForChunked(tr.NumFiles(), workers, func(lo, hi int) {
-			agent := <-agentPool
+		par.ForBatched(n, rl.DefaultBatchRows, s.cfg.Workers, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				decisions[i] = agent.Decide(&states[i])
+				states[i].FeaturesInto(feats.Row(i))
 			}
-			agentPool <- agent
+			var x mat.Matrix
+			feats.SliceRows(&x, lo, hi)
+			rep := pool.Get()
+			rep.DecideBatch(&x, decisions[lo:hi], 1)
+			pool.Put(rep)
 		})
 		report.DecisionTime = append(report.DecisionTime, time.Since(start))
 
@@ -280,15 +283,13 @@ func (s *System) Run(tr *trace.Trace) (*RunReport, error) {
 
 		// 4. Serve today's requests: concurrent reads of aggregated groups
 		// hit the replica instead of every member.
-		reads = reads[:tr.NumFiles()]
-		writes = writes[:tr.NumFiles()]
 		for i := range reads {
 			reads[i] = tr.Reads[i][day]
 			writes[i] = tr.Writes[i][day]
 		}
 		allReads := reads
 		allWrites := writes
-		if store.NumObjects() > tr.NumFiles() {
+		if store.NumObjects() > n {
 			allReads = make([]float64, store.NumObjects())
 			allWrites = make([]float64, store.NumObjects())
 			copy(allReads, reads)

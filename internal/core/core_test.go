@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -9,6 +11,7 @@ import (
 	"minicost/internal/policy"
 	"minicost/internal/pricing"
 	"minicost/internal/rl"
+	"minicost/internal/rng"
 	"minicost/internal/trace"
 )
 
@@ -218,5 +221,73 @@ func TestRunReportLedgerConsistent(t *testing.T) {
 	sum := costmodel.SumBreakdowns(report.Daily)
 	if math.Abs(sum.Total()-report.Total.Total()) > 1e-9 {
 		t.Fatal("daily ledger does not sum to total")
+	}
+}
+
+// TestRunPinnedAcrossEngines pins Run's bill, daily ledger and tier changes
+// to the values it produced when it decided file by file with the
+// single-sample Agent.Decide, at the Quick and paper network widths, with
+// aggregation off and on. Random-weight agents keep the pins independent of
+// training; DecideBatch is bitwise equal to Decide, so the batched engine
+// must reproduce every value exactly. The daily ledger is pinned by an
+// FNV-1a hash over the bits of every day's four cost components.
+func TestRunPinnedAcrossEngines(t *testing.T) {
+	gc := trace.DefaultGenConfig()
+	gc.NumFiles = 300
+	gc.Days = 28
+	gc.HeadFraction = 0.15
+	gc.GroupFraction = 0.5
+	gc.Seed = 3
+	tr, err := trace.Generate(gc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	quick := rl.NetConfig{HistLen: 7, Filters: 16, Kernel: 4, Stride: 1, Hidden: 32}
+	for _, c := range []struct {
+		name    string
+		net     rl.NetConfig
+		seed    uint64
+		agg     bool
+		total   costmodel.Breakdown
+		daily   uint64
+		changes int
+	}{
+		{"quick16", quick, 21, false, costmodel.Breakdown{Storage: 0.07835348033529077, Read: 1428.9000039754353, Write: 0.3038907106641927, Transition: 0.013719140625}, 0x1a376e235c966e1e, 693},
+		{"quick16+agg", quick, 21, true, costmodel.Breakdown{Storage: 0.09922887044698592, Read: 1113.5530697941042, Write: 0.3038907106641927, Transition: 0.013719140625}, 0x518d7fe22d434e56, 693},
+		{"paper128", rl.DefaultNetConfig(), 22, false, costmodel.Breakdown{Storage: 0.49692514731849546, Read: 8.27217022780072, Write: 0.16770625247192192, Transition: 0.0043359375}, 0x1211808c6cd7622e, 221},
+		{"paper128+agg", rl.DefaultNetConfig(), 22, true, costmodel.Breakdown{Storage: 0.5178005374301905, Read: 8.190139031196077, Write: 0.16770625247192192, Transition: 0.0043359375}, 0xa5755644c231b6f3, 221},
+	} {
+		cfg := DefaultConfig()
+		cfg.A3C.Net = c.net
+		if c.agg {
+			ac := aggregate.DefaultConfig()
+			cfg.Aggregation = &ac
+		}
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.SetAgent(rl.NewAgent(c.net, c.net.BuildActor(rng.New(c.seed))))
+		report, err := s.Run(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if report.Total != c.total {
+			t.Errorf("%s: Total = %#v, want %#v", c.name, report.Total, c.total)
+		}
+		h := fnv.New64a()
+		var b [8]byte
+		for _, d := range report.Daily {
+			for _, v := range []float64{d.Storage, d.Read, d.Write, d.Transition} {
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+				h.Write(b[:])
+			}
+		}
+		if len(report.Daily) != tr.Days || h.Sum64() != c.daily {
+			t.Errorf("%s: %d daily entries hashing to %#x, want %d hashing to %#x", c.name, len(report.Daily), h.Sum64(), tr.Days, c.daily)
+		}
+		if report.TierChanges != c.changes {
+			t.Errorf("%s: TierChanges = %d, want %d", c.name, report.TierChanges, c.changes)
+		}
 	}
 }

@@ -100,29 +100,6 @@ func (b *buffer) files() int {
 	return int(n)
 }
 
-// hashID is the FNV-1a 64 hash of a file ID — the shard router and the
-// holdout split both key on it, so each is a stable function of file
-// identity alone.
-//
-//minicost:hotpath
-func hashID(id string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(id); i++ {
-		h ^= uint64(id[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-// shardOf folds hashID onto a shard index — the same hash the serving store
-// uses, so co-located deployments shard compatibly.
-//
-//minicost:hotpath
-func shardOf(id string, mask uint32) uint32 {
-	h := hashID(id)
-	return uint32(h^(h>>32)) & mask
-}
-
 // addSlot grows every slot-indexed array by one. Caller holds sh.mu and has
 // checked the admission cap.
 func (sh *bufShard) addSlot(id string) int32 {
@@ -281,7 +258,7 @@ type eligibleFile struct {
 // every file with at least minDays observed days contributes its most recent
 // `days` entries, where days is the minimum fill among eligible files (so
 // all series align, as trace.Trace requires). Eligible files whose ID hash
-// falls in the holdout residue class (hashID mod holdoutEvery == 0, a ~1/k
+// falls in the holdout residue class (agentserver.HashID mod holdoutEvery == 0, a ~1/k
 // slice) land in the held-out trace the validation gate scores candidates
 // on; the rest form the training trace. Keying the split on file identity —
 // not on position in the eligible ordering — keeps membership stable as new
@@ -303,7 +280,7 @@ func (b *buffer) snapshotTrace(minDays, holdoutEvery int) (train, holdout *trace
 			if f < days {
 				days = f
 			}
-			hold := holdoutEvery > 0 && hashID(sh.ids[slot])%uint64(holdoutEvery) == 0
+			hold := holdoutEvery > 0 && agentserver.HashID(sh.ids[slot])%uint64(holdoutEvery) == 0
 			eligible = append(eligible, eligibleFile{shard: si, slot: int32(slot), size: sh.size[slot], fill: f, hold: hold})
 		}
 		sh.mu.Unlock()

@@ -122,7 +122,7 @@ func TestSnapshotTraceSplitAndAlignment(t *testing.T) {
 	wantHold := map[float64]bool{}
 	nHold := 0
 	for i := 0; i < 10; i++ {
-		if hashID(fid(i))%4 == 0 {
+		if agentserver.HashID(fid(i))%4 == 0 {
 			wantHold[float64(i+1)] = true
 			nHold++
 		}

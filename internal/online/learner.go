@@ -347,7 +347,7 @@ func (l *Learner) TapObserve(day int64, files []agentserver.FileObservation) {
 			counts[i] = 0
 		}
 		for i := range files {
-			si := int32(shardOf(files[i].ID, l.buf.mask))
+			si := int32(agentserver.ShardOf(files[i].ID, l.buf.mask))
 			home[i] = si
 			counts[si+1]++
 		}

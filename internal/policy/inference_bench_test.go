@@ -1,21 +1,20 @@
-// Inference-engine benchmarks: the single-sample reference path versus the
-// batched GEMM engine behind policy.RL, at the paper's network configuration
-// (128 filters / 128 hidden, 14-day history — §6.1) and at the Quick test
-// configuration. Both paths replay the same generated trace, so
+// Inference-engine benchmarks: the single-sample oracle versus the batched
+// GEMM engine behind RL, at the paper's network configuration (128 filters /
+// 128 hidden, 14-day history — §6.1) and at the Quick test configuration.
+// Both paths replay the same generated trace, so
 //
-//	go test -bench=Inference -benchtime=2x
+//	go test -run '^$' -bench=Inference -benchtime=2x ./internal/policy
 //
 // measures the speedup of the day-major batched stepper directly. The
 // per-decision cost is reported as a custom ns/decision metric (decisions =
-// files × days). cmd/bench wraps the same measurement and emits
+// files × days). cmd/bench measures the batched engine alone and emits
 // BENCH_inference.json.
-package minicost_test
+package policy
 
 import (
 	"testing"
 
 	"minicost/internal/costmodel"
-	"minicost/internal/policy"
 	"minicost/internal/pricing"
 	"minicost/internal/rl"
 	"minicost/internal/rng"
@@ -63,13 +62,14 @@ func inferenceFixture(tb testing.TB, cfg inferenceConfig) (*rl.Agent, *trace.Tra
 	return agent, tr, costmodel.New(pricing.Azure())
 }
 
-func benchmarkInference(b *testing.B, p policy.RL, cfg inferenceConfig) {
+// benchmarkInference times assign over the configuration's trace.
+func benchmarkInference(b *testing.B, cfg inferenceConfig, assign func(RL, *trace.Trace, *costmodel.Model, pricing.Tier) (costmodel.Assignment, error)) {
 	agent, tr, m := inferenceFixture(b, cfg)
-	p.Agent = agent
+	p := RL{Agent: agent}
 	decisions := float64(tr.NumFiles() * tr.Days)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.Assign(tr, m, pricing.Hot); err != nil {
+		if _, err := assign(p, tr, m, pricing.Hot); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -77,12 +77,13 @@ func benchmarkInference(b *testing.B, p policy.RL, cfg inferenceConfig) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/decisions, "ns/decision")
 }
 
-// BenchmarkInferenceSingle measures the legacy path: one cloned network per
-// goroutine task and one single-sample forward pass per (file, day).
+// BenchmarkInferenceSingle measures the single-sample oracle: one cloned
+// network per goroutine task and one single-sample forward pass per
+// (file, day).
 func BenchmarkInferenceSingle(b *testing.B) {
 	for _, cfg := range inferenceConfigs() {
 		b.Run(cfg.name, func(b *testing.B) {
-			benchmarkInference(b, policy.RL{SingleSample: true}, cfg)
+			benchmarkInference(b, cfg, assignSingleSample)
 		})
 	}
 }
@@ -92,7 +93,7 @@ func BenchmarkInferenceSingle(b *testing.B) {
 func BenchmarkInferenceBatched(b *testing.B) {
 	for _, cfg := range inferenceConfigs() {
 		b.Run(cfg.name, func(b *testing.B) {
-			benchmarkInference(b, policy.RL{}, cfg)
+			benchmarkInference(b, cfg, RL.Assign)
 		})
 	}
 }

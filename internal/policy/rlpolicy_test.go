@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"minicost/internal/costmodel"
+	"minicost/internal/mdp"
+	"minicost/internal/par"
 	"minicost/internal/pricing"
 	"minicost/internal/rl"
 	"minicost/internal/rng"
@@ -23,6 +25,47 @@ func rlTestFixture(t *testing.T, files, days int, seed uint64) (*rl.Agent, *trac
 		t.Fatal(err)
 	}
 	return agent, tr, costmodel.New(pricing.Azure())
+}
+
+// assignSingleSample is the pre-batching serving loop: one cloned network
+// per goroutine task and one single-sample Agent.Decide per (file, day). It
+// is the test oracle the batched RL.Assign is pinned against bitwise, and
+// the single-sample side of the inference benchmarks.
+func assignSingleSample(p RL, tr *trace.Trace, m *costmodel.Model, initial pricing.Tier) (costmodel.Assignment, error) {
+	histLen := p.HistLen
+	if histLen <= 0 {
+		histLen = p.Agent.Net.HistLen
+	}
+	asg := costmodel.NewAssignment(tr.NumFiles(), tr.Days)
+	reward := mdp.DefaultReward()
+	errs := make([]error, tr.NumFiles())
+	par.For(tr.NumFiles(), p.Workers, func(i int) {
+		// Each goroutine needs its own network (activation caches).
+		agent := p.Agent.Clone()
+		env, err := mdp.NewEnv(m, tr.Files[i].SizeGB, tr.Reads[i], tr.Writes[i], initial, histLen, reward)
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		plan := asg[i]
+		state := env.Reset()
+		for d := 0; d < tr.Days; d++ {
+			tier := agent.Decide(&state)
+			next, _, _, _, err := env.Step(tier)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			plan[d] = tier
+			state = next
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return asg, nil
 }
 
 // assignmentsEqual reports whether two assignments agree tier-for-tier.
@@ -45,13 +88,13 @@ func assignmentsEqual(a, b costmodel.Assignment) (int, int, bool) {
 
 // TestRLBatchedMatchesSingleSample is the rewrite's safety net: for a fixed
 // seed, the batched day-major engine must produce the exact assignment the
-// legacy single-sample loop produced, across worker counts, batch sizes and
+// single-sample oracle produces, across worker counts, batch sizes and
 // initial tiers.
 func TestRLBatchedMatchesSingleSample(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 99} {
 		agent, tr, m := rlTestFixture(t, 57, 13, seed)
 		for _, initial := range []pricing.Tier{pricing.Hot, pricing.Archive} {
-			want, err := RL{Agent: agent, SingleSample: true, Workers: 1}.Assign(tr, m, initial)
+			want, err := assignSingleSample(RL{Agent: agent, Workers: 1}, tr, m, initial)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,6 +113,41 @@ func TestRLBatchedMatchesSingleSample(t *testing.T) {
 						seed, cfg.Workers, cfg.BatchRows, initial, f, d)
 				}
 			}
+		}
+	}
+}
+
+// TestRLAssignEquivalentAcrossPaperWidths replays a generated trace through
+// RL at every network width the paper sweeps (Fig. 11) and asserts the
+// batched engine's assignment is identical to the single-sample oracle's for
+// a fixed seed.
+func TestRLAssignEquivalentAcrossPaperWidths(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full width sweep is slow; TestRLBatchedMatchesSingleSample covers one width")
+	}
+	gen := trace.DefaultGenConfig()
+	gen.NumFiles = 40
+	gen.Days = 10
+	gen.Seed = 42
+	tr, err := trace.Generate(gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := costmodel.New(pricing.Azure())
+	// Fig. 11's filter/hidden sweep (experiments.PaperWidths).
+	for wi, width := range []int{4, 16, 32, 64, 128} {
+		cfg := rl.NetConfig{HistLen: 7, Filters: width, Kernel: 4, Stride: 1, Hidden: width}
+		agent := rl.NewAgent(cfg, cfg.BuildActor(rng.New(uint64(2000+wi))))
+		want, err := assignSingleSample(RL{Agent: agent}, tr, m, pricing.Hot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := RL{Agent: agent, Workers: 3, BatchRows: 11}.Assign(tr, m, pricing.Hot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f, d, ok := assignmentsEqual(want, got); !ok {
+			t.Fatalf("width %d: batched differs from single-sample at file %d day %d", width, f, d)
 		}
 	}
 }

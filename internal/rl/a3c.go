@@ -59,9 +59,9 @@ type A3CConfig struct {
 	// from its own RNG substream split from the worker seed, so E > 1 runs
 	// remain seed-deterministic at Workers=1.
 	EnvsPerWorker int
-	// Parallelism bounds the intra-update GEMM fan-out on the batched path:
-	// it is the workers argument handed to every ForwardBatch/BackwardBatch
-	// inside one update. The default 0 (like 1) runs updates serially —
+	// Parallelism bounds the intra-update GEMM fan-out: it is the workers
+	// argument handed to every ForwardBatch/BackwardBatch inside one
+	// update. The default 0 (like 1) runs updates serially —
 	// A3C's parallelism conventionally comes from Workers — but a
 	// single-worker trainer on a big machine can parallelize inside each
 	// update instead. Any value leaves training bitwise unchanged: the
@@ -85,19 +85,11 @@ type A3CConfig struct {
 	// Optimizer selects "rmsprop" (A3C's default), "adam" or "sgd".
 	Optimizer string
 	// FinalLRFraction linearly anneals the learning rate to this fraction
-	// of LearningRate over a Train call (1 disables annealing). Late-stage
-	// annealing settles the policy oscillation that a constant step size
-	// sustains.
+	// of LearningRate over a TrainFrom call (1 disables annealing).
+	// Late-stage annealing settles the policy oscillation that a constant
+	// step size sustains.
 	FinalLRFraction float64
-	// SingleSample selects the preserved per-sample reference update path
-	// (one critic and one actor Forward/Backward per transition, mutex-held
-	// parameter pulls) instead of the batched training engine. The batched
-	// path is bitwise identical at Workers=1 — the equivalence tests pin it
-	// — so this exists as the executable specification and for A/B
-	// benchmarks, mirroring policy.RL's SingleSample switch on the
-	// inference side.
-	SingleSample bool
-	Seed         uint64
+	Seed            uint64
 }
 
 // DefaultA3CConfig returns the paper's training configuration.
@@ -141,10 +133,6 @@ func (c A3CConfig) Validate() error {
 		return fmt.Errorf("rl: Workers %d", c.Workers)
 	case c.EnvsPerWorker < 0:
 		return fmt.Errorf("rl: EnvsPerWorker %d", c.EnvsPerWorker)
-	case c.SingleSample && c.EnvsPerWorker > 1:
-		// The vectorized engine is built on the batched kernels; there is no
-		// single-sample variant of a lockstep rollout.
-		return fmt.Errorf("rl: SingleSample is incompatible with EnvsPerWorker %d", c.EnvsPerWorker)
 	case c.Parallelism < 0:
 		return fmt.Errorf("rl: Parallelism %d", c.Parallelism)
 	case c.EntropyBeta < 0:
@@ -205,9 +193,8 @@ func (c A3CConfig) newOptimizer() nn.Optimizer {
 // apply writes the updated vectors into the next buffer and swaps it in, and
 // superseded buffers are recycled once their readers drain. Synchronization
 // is therefore two-tier: a.mu serializes the apply (a short critical section
-// per update), while pulls on the batched path read the published buffer
-// lock-free and never convoy on the writers' lock. The SingleSample
-// reference path keeps the original mutex-held in-place apply and pulls.
+// per update), while pulls read the published buffer lock-free and never
+// convoy on the writers' lock.
 type A3C struct {
 	cfg A3CConfig
 
@@ -272,11 +259,6 @@ func (a *A3C) CriticSnapshot() *nn.Network {
 	return critic
 }
 
-// EnvFactory supplies training episodes; each call must return a fresh (or
-// reset) environment owned exclusively by the calling worker. Factories are
-// called concurrently and must be safe for that.
-type EnvFactory func(r *rng.RNG) *mdp.Env
-
 // EnvSource supplies training episodes to workers. NewEnv returns a fresh
 // environment owned exclusively by the caller; ReinitEnv re-targets an
 // environment the caller already owns onto a new episode in place, which
@@ -289,33 +271,33 @@ type EnvSource interface {
 	ReinitEnv(r *rng.RNG, env *mdp.Env)
 }
 
-// factorySource adapts an EnvFactory to EnvSource; ReinitEnv falls back to
-// building a fresh environment and copying it over the old one.
-type factorySource struct{ f EnvFactory }
-
-func (s factorySource) NewEnv(r *rng.RNG) *mdp.Env { return s.f(r) }
-
-func (s factorySource) ReinitEnv(r *rng.RNG, env *mdp.Env) {
-	fresh := s.f(r)
-	// The old env may be running on recycled observation buffers; the copy
-	// must carry that mode (and fresh buffers) over, not silently drop it.
-	fresh.EnableStateReuse()
-	*env = *fresh
-}
-
-// Train runs the asynchronous workers until the global step counter reaches
-// totalSteps (Algorithm 1's outer loop). It returns aggregate statistics.
-func (a *A3C) Train(factory EnvFactory, totalSteps int64) (TrainStats, error) {
-	if factory == nil {
-		return TrainStats{}, errors.New("rl: nil env factory")
-	}
-	return a.TrainFrom(factorySource{f: factory}, totalSteps)
-}
-
-// TrainFrom is Train generalized over an EnvSource; sources that implement
-// in-place episode re-targeting (TraceSource) keep worker episode turnover
-// allocation-free, which the vectorized engine's alloc gates require.
+// TrainFrom runs the asynchronous workers until the global step counter
+// reaches totalSteps (Algorithm 1's outer loop) and returns aggregate
+// statistics. Sources that implement in-place episode re-targeting
+// (TraceSource) keep worker episode turnover allocation-free, which the
+// vectorized engine's alloc gates require.
 func (a *A3C) TrainFrom(src EnvSource, totalSteps int64) (TrainStats, error) {
+	return a.train(src, totalSteps, a.batchedAccumulator)
+}
+
+// accumulator accumulates one rollout's actor and critic gradients into the
+// worker's replica networks; boot is the n-step bootstrap value (0 at
+// episode end).
+type accumulator func(actor, critic *nn.Network, buf *rollout, boot float64)
+
+// batchedAccumulator returns the classic worker's production accumulate
+// step: accumulateBatched over worker-owned reused matrices.
+func (a *A3C) batchedAccumulator() accumulator {
+	var bb batchBuf
+	return func(actor, critic *nn.Network, buf *rollout, boot float64) {
+		a.accumulateBatched(actor, critic, buf, boot, &bb)
+	}
+}
+
+// train is TrainFrom with the classic worker's accumulate step supplied by
+// newAcc (called once per classic worker); the equivalence tests pass the
+// per-sample reference here.
+func (a *A3C) train(src EnvSource, totalSteps int64, newAcc func() accumulator) (TrainStats, error) {
 	if src == nil {
 		return TrainStats{}, errors.New("rl: nil env source")
 	}
@@ -333,7 +315,7 @@ func (a *A3C) TrainFrom(src EnvSource, totalSteps int64) (TrainStats, error) {
 			if a.cfg.envsPerWorker() > 1 {
 				stats[w] = a.vecWorker(w, src, totalSteps)
 			} else {
-				stats[w] = a.worker(w, src, totalSteps)
+				stats[w] = a.worker(w, src, totalSteps, newAcc())
 			}
 		}(w)
 	}
@@ -425,8 +407,11 @@ func (n *rewardNorm) normalize(r float64) float64 {
 	return (r - n.mean) / math.Sqrt(n.vr+1e-12)
 }
 
-// worker is one asynchronous actor-learner (Fig. 6's per-thread loop).
-func (a *A3C) worker(id int, src EnvSource, totalSteps int64) TrainStats {
+// worker is one asynchronous actor-learner (Fig. 6's per-thread loop): the
+// classic E=1 engine. It differs from vecWorker at E=1 on purpose (DESIGN.md
+// §16): it ends a rollout at an episode boundary, draws from the worker RNG
+// stream, and accumulates newest-first.
+func (a *A3C) worker(id int, src EnvSource, totalSteps int64, accumulate accumulator) TrainStats {
 	r := rng.New(a.cfg.Seed).Split(uint64(id) + 0xAC7)
 	actor := a.protoActor.Clone()
 	critic := a.protoCritic.Clone()
@@ -447,25 +432,14 @@ func (a *A3C) worker(id int, src EnvSource, totalSteps int64) TrainStats {
 	// between accumulation and clip/apply.
 	aGrad := actor.FlattenGrads()
 	cGrad := critic.FlattenGrads()
-	dLogits := make([]float64, mdp.NumActions)
-	var bb batchBuf
 	var held *paramSnap
 	defer func() { releaseSnapshot(held) }()
 
 	for a.steps.Load() < totalSteps {
 		// Pull the latest global parameters (Algorithm 1 line 1's "memory"
 		// synchronisation): a lock-free zero-copy bind of the published
-		// snapshot on the batched path, the original mutex-held copy on the
-		// reference path.
-		if a.cfg.SingleSample {
-			a.mu.Lock()
-			cur := a.snap.Load()
-			actor.SetParamVector(cur.actor)
-			critic.SetParamVector(cur.critic)
-			a.mu.Unlock()
-		} else {
-			held = a.bindSnapshot(actor, critic, held)
-		}
+		// snapshot.
+		held = a.bindSnapshot(actor, critic, held)
 		actor.ZeroGrad()
 		critic.ZeroGrad()
 
@@ -534,11 +508,7 @@ func (a *A3C) worker(id int, src EnvSource, totalSteps int64) TrainStats {
 			state.FeaturesInto(bootFeats)
 			boot = critic.Forward(bootFeats)[0]
 		}
-		if a.cfg.SingleSample {
-			a.accumulateSingle(actor, critic, buf, boot, dLogits)
-		} else {
-			a.accumulateBatched(actor, critic, buf, boot, &bb)
-		}
+		accumulate(actor, critic, buf, boot)
 
 		// Push accumulated gradients to the global parameters (Eq. 12); the
 		// flat-backed accumulators are the gradient vectors.
@@ -572,55 +542,8 @@ func (a *A3C) pushUpdate(aGrad, cGrad []float64, totalSteps int64) {
 		a.actorOpt.SetLearningRate(a.cfg.LearningRate * scale)
 		a.criticOpt.SetLearningRate(a.cfg.LearningRate * a.cfg.CriticLRMult * scale)
 	}
-	if a.cfg.SingleSample {
-		// Reference path: apply in place on the current buffer. No
-		// lock-free readers exist in this mode (pulls hold a.mu), so
-		// mutating the published buffer is safe.
-		cur := a.snap.Load()
-		a.actorOpt.Step(cur.actor, aGrad)
-		a.criticOpt.Step(cur.critic, cGrad)
-	} else {
-		a.applyLocked(aGrad, cGrad)
-	}
+	a.applyLocked(aGrad, cGrad)
 	a.mu.Unlock()
 	sw.Stop()
 	trainMet.updates.Inc()
-}
-
-// accumulateSingle replays the rollout through the per-sample reference
-// path — one critic and one actor Forward/Backward per transition, newest
-// first. It is the executable specification accumulateBatched must match
-// bitwise; ret arrives as the bootstrap value (0 at episode end).
-func (a *A3C) accumulateSingle(actor, critic *nn.Network, buf *rollout, ret float64, dLogits []float64) {
-	for i := len(buf.rewards) - 1; i >= 0; i-- {
-		ret = buf.rewards[i] + a.cfg.Gamma*ret
-
-		// Critic: minimize 0.5 (V - R)^2.
-		v := critic.Forward(buf.features[i])[0]
-		critic.Backward([]float64{v - ret})
-
-		// Actor: ascend A·∇log π(a|s) + β ∇H(π). Advantage Eq. 10 uses
-		// the critic's value as the baseline V^π(s).
-		adv := ret - v
-		if a.cfg.AdvClip > 0 {
-			adv = math.Max(-a.cfg.AdvClip, math.Min(a.cfg.AdvClip, adv))
-		}
-		logits := actor.Forward(buf.features[i])
-		p := nn.Softmax(logits)
-		h := nn.Entropy(p)
-		for k := range dLogits {
-			grad := adv * p[k] // d(-log π(a))·A / dz_k , part 1
-			if k == buf.actions[i] {
-				grad -= adv
-			}
-			if p[k] > 0 {
-				// Entropy bonus: d(-βH)/dz_k = β π_k (log π_k + H).
-				grad += a.cfg.EntropyBeta * p[k] * (math.Log(p[k]) + h)
-			}
-			// Logit L2 decay (see A3CConfig.LogitDecay).
-			grad += a.cfg.LogitDecay * logits[k]
-			dLogits[k] = grad
-		}
-		actor.Backward(dLogits)
-	}
 }

@@ -1,8 +1,7 @@
 // Package rl implements MiniCost's reinforcement-learning machinery: the
 // actor–critic networks (§6.1's architecture), the A3C training loop of
-// Fig. 6 / Algorithm 1 with asynchronous workers, ε-greedy exploration, and
-// a tabular Q-learning reference learner used to validate the plumbing
-// against exact value iteration.
+// Fig. 6 / Algorithm 1 with asynchronous workers and ε-greedy exploration,
+// and the batched serving engine that decides every file of a day at once.
 package rl
 
 import (

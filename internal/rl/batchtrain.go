@@ -13,9 +13,9 @@ import (
 // that replaces 2·NSteps single-sample network passes per update with one
 // ForwardBatch and one BackwardBatch each for actor and critic, plus the
 // lock-free parameter snapshots that let workers pull without convoying on
-// the optimizer mutex. The per-sample path it replaces survives behind
-// A3CConfig.SingleSample as the executable specification; equivalence tests
-// (rl and experiments) hold the two bitwise identical at Workers=1.
+// the optimizer mutex. The per-sample path it replaces survives as a test
+// oracle (accumulateSingle in oracle_test.go); the rl equivalence tests hold
+// the two bitwise identical at Workers=1 across the paper's network widths.
 //
 // Bitwise equivalence rests on two orderings. First, the reference loop
 // walks the rollout newest-first (i = n-1 … 0), so the batch matrices are
@@ -27,9 +27,8 @@ import (
 // passes into a scalar loop changes no arithmetic.
 
 // paramSnap is one buffer of the double-buffered global parameter store.
-// The published buffer (a.snap) is the master copy; on the batched path it
-// stays immutable until retired and recycled, so lock-free readers can copy
-// from it safely. refs counts in-flight snapshot readers; a retired buffer
+// The published buffer (a.snap) is the master copy; it stays immutable
+// until retired and recycled, so lock-free readers can copy from it safely. refs counts in-flight snapshot readers; a retired buffer
 // is reused for a later apply only once refs drains to zero.
 type paramSnap struct {
 	actor, critic []float64
@@ -56,9 +55,9 @@ func (a *A3C) nextSnapLocked() *paramSnap {
 	}
 }
 
-// applyLocked is the batched path's optimizer apply: the update is written
-// straight into the next buffer of the double-buffered store (reading the
-// current one) and swapped in as published. The superseded buffer stays
+// applyLocked is the optimizer apply: the update is written straight into
+// the next buffer of the double-buffered store (reading the current one) and
+// swapped in as published. The superseded buffer stays
 // immutable for any readers still copying from it, and — unlike a
 // copy-then-publish scheme — no O(params) publish pass exists beyond the
 // optimizer's own write. Called with a.mu held.
@@ -166,8 +165,8 @@ func (a *A3C) accumulateBatched(actor, critic *nn.Network, buf *rollout, ret flo
 		v := values.Row(j)[0]
 		bb.dV.Row(j)[0] = v - ret
 
-		// Actor: ascend A·∇log π(a|s) + β ∇H(π); see accumulateSingle for
-		// the gradient derivation comments.
+		// Actor: ascend A·∇log π(a|s) + β ∇H(π). Advantage Eq. 10 uses
+		// the critic's value as the baseline V^π(s).
 		adv := ret - v
 		if a.cfg.AdvClip > 0 {
 			adv = math.Max(-a.cfg.AdvClip, math.Min(a.cfg.AdvClip, adv))
@@ -178,13 +177,15 @@ func (a *A3C) accumulateBatched(actor, critic *nn.Network, buf *rollout, ret flo
 		h := nn.Entropy(p)
 		drow := bb.dL.Row(j)
 		for k := range drow {
-			grad := adv * p[k]
+			grad := adv * p[k] // d(-log π(a))·A / dz_k , part 1
 			if k == buf.actions[i] {
 				grad -= adv
 			}
 			if p[k] > 0 {
+				// Entropy bonus: d(-βH)/dz_k = β π_k (log π_k + H).
 				grad += a.cfg.EntropyBeta * p[k] * (math.Log(p[k]) + h)
 			}
+			// Logit L2 decay (see A3CConfig.LogitDecay).
 			grad += a.cfg.LogitDecay * lrow[k]
 			drow[k] = grad
 		}

@@ -2,34 +2,59 @@ package rl
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"minicost/internal/costmodel"
 	"minicost/internal/mdp"
 	"minicost/internal/pricing"
+	"minicost/internal/trace"
 )
 
-// trainParams runs a fresh trainer with cfg over a polar-trace factory and
-// returns copies of the final actor/critic parameter vectors plus stats.
-func trainParams(t *testing.T, cfg A3CConfig, files, days int, steps int64) ([]float64, []float64, TrainStats) {
+// polarSource returns a TraceSource over a files×days polar trace.
+func polarSource(t testing.TB, cfg A3CConfig, files, days int) *TraceSource {
 	t.Helper()
-	tr := polarTrace(t, files, days)
-	model := costmodel.New(pricing.Azure())
+	src, err := NewTraceSource(costmodel.New(pricing.Azure()), polarTrace(t, files, days), cfg.Net.HistLen, mdp.DefaultReward(), pricing.Hot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return src
+}
+
+// trainOn runs a fresh trainer with cfg over src and returns copies of the
+// final actor/critic parameter vectors plus stats. singleSample selects the
+// per-sample reference accumulate step instead of the production one.
+func trainOn(t *testing.T, cfg A3CConfig, src EnvSource, steps int64, singleSample bool) ([]float64, []float64, TrainStats) {
+	t.Helper()
 	a3c, err := NewA3C(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	factory, err := TraceFactory(model, tr, cfg.Net.HistLen, mdp.DefaultReward(), pricing.Hot)
-	if err != nil {
-		t.Fatal(err)
+	train := a3c.TrainFrom
+	if singleSample {
+		train = a3c.trainSingleSample
 	}
-	stats, err := a3c.Train(factory, steps)
+	stats, err := train(src, steps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cur := a3c.snap.Load()
 	return append([]float64(nil), cur.actor...),
 		append([]float64(nil), cur.critic...), stats
+}
+
+// trainParams trains with the production engine over a polar trace, building
+// a fresh env for every episode.
+func trainParams(t *testing.T, cfg A3CConfig, files, days int, steps int64) ([]float64, []float64, TrainStats) {
+	t.Helper()
+	return trainOn(t, cfg, envFunc(polarSource(t, cfg, files, days).NewEnv), steps, false)
+}
+
+// singleSampleParams is trainParams on the per-sample reference accumulate
+// step.
+func singleSampleParams(t *testing.T, cfg A3CConfig, files, days int, steps int64) ([]float64, []float64, TrainStats) {
+	t.Helper()
+	return trainOn(t, cfg, envFunc(polarSource(t, cfg, files, days).NewEnv), steps, true)
 }
 
 func assertVectorsBitwise(t *testing.T, name string, got, want []float64) {
@@ -46,9 +71,9 @@ func assertVectorsBitwise(t *testing.T, name string, got, want []float64) {
 
 // TestBatchedTrainerMatchesSingleSampleBitwise is the training-engine
 // equivalence gate: at Workers=1 with a fixed seed, the batched update path
-// must leave bitwise-identical actor and critic parameters to the preserved
-// per-sample reference after a sustained run (> 50 updates). The wide-net
-// sweep across PaperWidths lives in internal/experiments.
+// must leave bitwise-identical actor and critic parameters to the per-sample
+// reference after a sustained run (> 50 updates). The wide-net sweep across
+// the paper's widths is TestBatchedTrainingEquivalentAcrossPaperWidths.
 func TestBatchedTrainerMatchesSingleSampleBitwise(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test")
@@ -57,9 +82,7 @@ func TestBatchedTrainerMatchesSingleSampleBitwise(t *testing.T) {
 	cfg.Workers = 1
 	const steps = 400 // 57 updates at NSteps 7
 
-	ref := cfg
-	ref.SingleSample = true
-	wantA, wantC, wantStats := trainParams(t, ref, 8, 14, steps)
+	wantA, wantC, wantStats := singleSampleParams(t, cfg, 8, 14, steps)
 	gotA, gotC, gotStats := trainParams(t, cfg, 8, 14, steps)
 
 	if wantStats.Updates < 50 {
@@ -104,27 +127,22 @@ func TestCheckpointRoundTripResumesBatchedTraining(t *testing.T) {
 	cfg.Optimizer = "sgd"
 	cfg.FinalLRFraction = 1
 
-	tr := polarTrace(t, 8, 14)
-	model := costmodel.New(pricing.Azure())
-	factory, err := TraceFactory(model, tr, cfg.Net.HistLen, mdp.DefaultReward(), pricing.Hot)
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := polarSource(t, cfg, 8, 14)
 
 	orig, err := NewA3C(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := orig.Train(factory, 300); err != nil {
+	if _, err := orig.TrainFrom(src, 300); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
 	if err := orig.SaveCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	// Continue the original for another 300 steps (Train resumes from the
-	// global step counter).
-	if _, err := orig.Train(factory, 600); err != nil {
+	// Continue the original for another 300 steps (TrainFrom resumes from
+	// the global step counter).
+	if _, err := orig.TrainFrom(src, 600); err != nil {
 		t.Fatal(err)
 	}
 
@@ -135,7 +153,7 @@ func TestCheckpointRoundTripResumesBatchedTraining(t *testing.T) {
 	if err := resumed.LoadCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := resumed.Train(factory, 300); err != nil {
+	if _, err := resumed.TrainFrom(src, 300); err != nil {
 		t.Fatal(err)
 	}
 
@@ -178,3 +196,103 @@ func TestLoadCheckpointRepublishesSnapshot(t *testing.T) {
 	assertVectorsBitwise(t, "critic", critic.ParamVector(), srcCur.critic)
 	releaseSnapshot(held)
 }
+
+// paperWidths is Fig. 11's filter/hidden sweep (experiments.PaperWidths).
+var paperWidths = []int{4, 16, 32, 64, 128}
+
+// TestBatchedTrainingEquivalentAcrossPaperWidths is the training-engine
+// acceptance gate: at Workers=1 with a fixed seed, the production engine
+// (batched forward/backward, snapshot pulls, in-place episode turnover) must
+// leave bitwise-identical actor and critic parameters to the per-sample
+// reference on fresh envs after more than 50 updates, at every network width
+// the paper sweeps (Fig. 11).
+func TestBatchedTrainingEquivalentAcrossPaperWidths(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full width sweep is slow; TestBatchedTrainerMatchesSingleSampleBitwise covers one width")
+	}
+	gen := trace.DefaultGenConfig()
+	gen.NumFiles = 20
+	gen.Days = 12
+	gen.Seed = 43
+	tr, err := trace.Generate(gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := costmodel.New(pricing.Azure())
+	const steps = 400 // 57 updates at NSteps 7
+	for wi, width := range paperWidths {
+		cfg := DefaultA3CConfig()
+		cfg.Net = NetConfig{HistLen: 7, Filters: width, Kernel: 4, Stride: 1, Hidden: width}
+		cfg.Workers = 1
+		cfg.Seed = uint64(3000 + wi)
+		src, err := NewTraceSource(m, tr, cfg.Net.HistLen, mdp.DefaultReward(), pricing.Hot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantA, wantC, wantStats := trainOn(t, cfg, envFunc(src.NewEnv), steps, true)
+		gotA, gotC, gotStats := trainOn(t, cfg, src, steps, false)
+		if wantStats.Updates < 50 {
+			t.Fatalf("width %d: only %d updates; the gate needs a sustained run", width, wantStats.Updates)
+		}
+		if gotStats != wantStats {
+			t.Fatalf("width %d: stats diverged: batched %+v, single-sample %+v", width, gotStats, wantStats)
+		}
+		assertVectorsBitwise(t, fmt.Sprintf("width %d actor", width), gotA, wantA)
+		assertVectorsBitwise(t, fmt.Sprintf("width %d critic", width), gotC, wantC)
+	}
+}
+
+// benchmarkTrainStep times b.N environment steps of one-worker training at
+// the paper's network configuration and at the Quick one, over the training
+// bench's 16-file, 14-day trace; singleSample selects the per-sample oracle.
+// The Single/Batched pair reproduces the training engine's speedup:
+//
+//	go test -run '^$' -bench=TrainStep ./internal/rl
+func benchmarkTrainStep(b *testing.B, singleSample bool) {
+	gen := trace.DefaultGenConfig()
+	gen.NumFiles = 16
+	gen.Days = 14
+	gen.Seed = 7
+	tr, err := trace.Generate(gen)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		net  NetConfig
+	}{
+		{"paper128", DefaultNetConfig()},
+		{"quick16", NetConfig{HistLen: 7, Filters: 16, Kernel: 4, Stride: 1, Hidden: 32}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			cfg := DefaultA3CConfig()
+			cfg.Net = c.net
+			cfg.Workers = 1
+			cfg.Seed = 7
+			a3c, err := NewA3C(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			src, err := NewTraceSource(costmodel.New(pricing.Azure()), tr, cfg.Net.HistLen, mdp.DefaultReward(), pricing.Hot)
+			if err != nil {
+				b.Fatal(err)
+			}
+			train := a3c.TrainFrom
+			if singleSample {
+				train = a3c.trainSingleSample
+			}
+			b.ResetTimer()
+			if _, err := train(src, int64(b.N)); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
+// BenchmarkTrainStepSingle measures the per-sample oracle: one critic and
+// one actor Forward/Backward per transition.
+func BenchmarkTrainStepSingle(b *testing.B) { benchmarkTrainStep(b, true) }
+
+// BenchmarkTrainStepBatched measures the production engine: one
+// ForwardBatch/BackwardBatch pair per network per update.
+func BenchmarkTrainStepBatched(b *testing.B) { benchmarkTrainStep(b, false) }

@@ -10,75 +10,55 @@ import (
 	"minicost/internal/rng"
 )
 
-// TestA3CSurvivesExhaustedEnvs injects a misbehaving factory: every third
-// env arrives already finished, so the first Step errors. The worker must
-// recover by requesting a fresh env and still complete the step budget.
+// TestA3CSurvivesExhaustedEnvs injects a misbehaving source: every third
+// env it hands out (from NewEnv or ReinitEnv) has already been stepped to
+// its end. The workers never see the exhaustion — they rewind every env they
+// receive before stepping it (Env.Reset in the classic worker at E=1,
+// EnvBank.Install and ResetEnv at E=4) — so what this checks is that a
+// finished env from the source is rewound into a full episode and the step
+// budget completes.
 func TestA3CSurvivesExhaustedEnvs(t *testing.T) {
 	model := costmodel.New(pricing.Azure())
-	cfg := smallA3CConfig()
-	cfg.Workers = 2
-	a3c, err := NewA3C(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	reads := []float64{10, 20, 30, 40, 50, 60, 70, 80}
 	writes := make([]float64, len(reads))
-	// The factory is called concurrently by the async workers, so the call
-	// counter must be atomic.
-	var calls atomic.Int64
-	factory := func(r *rng.RNG) *mdp.Env {
-		env, err := mdp.NewEnv(model, 0.1, reads, writes, pricing.Hot, 7, mdp.DefaultReward())
+	for _, envs := range []int{1, 4} {
+		cfg := smallA3CConfig()
+		cfg.Workers = 2
+		cfg.EnvsPerWorker = envs
+		a3c, err := NewA3C(cfg)
 		if err != nil {
-			t.Error(err)
-			return nil
+			t.Fatal(err)
 		}
-		if calls.Add(1)%3 == 0 {
-			// Exhaust the episode before handing it over.
-			for d := 0; d < len(reads); d++ {
-				if _, _, _, _, err := env.Step(pricing.Hot); err != nil {
-					t.Error(err)
+		// The source is called concurrently by the async workers, so the
+		// counters must be atomic.
+		var calls, exhausted atomic.Int64
+		src := envFunc(func(r *rng.RNG) *mdp.Env {
+			env, err := mdp.NewEnv(model, 0.1, reads, writes, pricing.Hot, 7, mdp.DefaultReward())
+			if err != nil {
+				t.Error(err)
+				return nil
+			}
+			if calls.Add(1)%3 == 0 {
+				// Exhaust the episode before handing it over.
+				for d := 0; d < len(reads); d++ {
+					if _, _, _, _, err := env.Step(pricing.Hot); err != nil {
+						t.Error(err)
+					}
 				}
+				exhausted.Add(1)
 			}
+			return env
+		})
+		stats, err := a3c.TrainFrom(src, 2000)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return env
-	}
-	stats, err := a3c.Train(factory, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Steps < 2000 {
-		t.Fatalf("training stalled at %d steps", stats.Steps)
-	}
-}
-
-// TestDQNSurvivesExhaustedEnvs is the replay-learner counterpart.
-func TestDQNSurvivesExhaustedEnvs(t *testing.T) {
-	model := costmodel.New(pricing.Azure())
-	cfg := smallDQNConfig()
-	cfg.WarmupSteps = 64
-	d, err := NewDQN(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reads := []float64{10, 20, 30, 40, 50, 60, 70, 80}
-	writes := make([]float64, len(reads))
-	calls := 0
-	factory := func(r *rng.RNG) *mdp.Env {
-		env, _ := mdp.NewEnv(model, 0.1, reads, writes, pricing.Hot, 7, mdp.DefaultReward())
-		calls++
-		if calls%3 == 0 {
-			for dd := 0; dd < len(reads); dd++ {
-				_, _, _, _, _ = env.Step(pricing.Hot)
-			}
+		if exhausted.Load() == 0 {
+			t.Fatalf("E=%d: source never handed out a finished env", envs)
 		}
-		return env
-	}
-	stats, err := d.Train(factory, 1500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Steps < 1500 {
-		t.Fatalf("training stalled at %d steps", stats.Steps)
+		if stats.Steps < 2000 {
+			t.Fatalf("E=%d: training stalled at %d steps", envs, stats.Steps)
+		}
 	}
 }
 

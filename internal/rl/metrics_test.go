@@ -26,13 +26,13 @@ func TestTrainingMetricsAdvance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	factory := func(r *rng.RNG) *mdp.Env {
+	src := envFunc(func(r *rng.RNG) *mdp.Env {
 		e, _ := mdp.NewEnv(costmodel.New(pricing.Azure()), 0.1,
 			[]float64{1, 2, 3, 4, 5, 6, 7, 8}, make([]float64, 8), pricing.Hot, 7, mdp.DefaultReward())
 		return e
-	}
+	})
 	const steps = 200
-	if _, err := a3c.Train(factory, steps); err != nil {
+	if _, err := a3c.TrainFrom(src, steps); err != nil {
 		t.Fatal(err)
 	}
 	after := reg.Snapshot()
@@ -84,13 +84,13 @@ func TestVecTrainingMetricsAdvance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	factory := func(r *rng.RNG) *mdp.Env {
+	src := envFunc(func(r *rng.RNG) *mdp.Env {
 		e, _ := mdp.NewEnv(costmodel.New(pricing.Azure()), 0.1,
 			[]float64{1, 2, 3, 4, 5, 6, 7, 8}, make([]float64, 8), pricing.Hot, 7, mdp.DefaultReward())
 		return e
-	}
+	})
 	const steps = 112 // 4 full 4×7 rollouts
-	if _, err := a3c.Train(factory, steps); err != nil {
+	if _, err := a3c.TrainFrom(src, steps); err != nil {
 		t.Fatal(err)
 	}
 	after := reg.Snapshot()

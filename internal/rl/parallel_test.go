@@ -25,8 +25,7 @@ func TestBatchedTrainerParallelismBitwise(t *testing.T) {
 
 	ref := cfg
 	ref.Parallelism = 0
-	ref.SingleSample = true
-	wantA, wantC, wantStats := trainParams(t, ref, 8, 14, steps)
+	wantA, wantC, wantStats := singleSampleParams(t, ref, 8, 14, steps)
 	gotA, gotC, gotStats := trainParams(t, cfg, 8, 14, steps)
 
 	if gotStats != wantStats {

@@ -104,7 +104,6 @@ func TestA3CConfigValidate(t *testing.T) {
 		mut(func(c *A3CConfig) { c.NSteps = 0 }),
 		mut(func(c *A3CConfig) { c.Workers = 0 }),
 		mut(func(c *A3CConfig) { c.EnvsPerWorker = -1 }),
-		mut(func(c *A3CConfig) { c.SingleSample = true; c.EnvsPerWorker = 4 }),
 		mut(func(c *A3CConfig) { c.EntropyBeta = -1 }),
 		mut(func(c *A3CConfig) { c.ExploreHold = -1 }),
 		mut(func(c *A3CConfig) { c.GradClip = -1 }),
@@ -118,58 +117,6 @@ func TestA3CConfigValidate(t *testing.T) {
 		if _, err := NewA3C(c); err == nil {
 			t.Errorf("case %d: NewA3C accepted invalid config", i)
 		}
-	}
-}
-
-func TestQLearningMatchesValueIteration(t *testing.T) {
-	// 5-state corridor: move right (action 1) reaches the terminal reward;
-	// action 0 moves left (stays at 0). Small negative step rewards make
-	// the shortest path optimal.
-	n := 5
-	f := &mdp.Finite{
-		NumStates:  n,
-		NumActions: 2,
-		Next:       make([][]int, n),
-		Reward:     make([][]float64, n),
-		Terminal:   make([]bool, n),
-	}
-	for s := 0; s < n; s++ {
-		left := s - 1
-		if left < 0 {
-			left = 0
-		}
-		right := s + 1
-		if right >= n {
-			right = n - 1
-		}
-		f.Next[s] = []int{left, right}
-		f.Reward[s] = []float64{-0.1, -0.1}
-	}
-	f.Reward[n-2][1] = 10 // reaching the end pays
-	f.Terminal[n-1] = true
-
-	_, optimal := f.ValueIteration(0.9, 1e-9)
-
-	q, err := NewQLearner(f, 0.2, 0.9, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q.Train(rng.New(3), 2000, 50, 0)
-	got := q.Policy()
-	for s := 0; s < n-1; s++ {
-		if got[s] != optimal[s] {
-			t.Fatalf("state %d: q-policy %d, optimal %d", s, got[s], optimal[s])
-		}
-	}
-}
-
-func TestQLearnerValidation(t *testing.T) {
-	f := &mdp.Finite{NumStates: 1, NumActions: 1, Next: [][]int{{0}}, Reward: [][]float64{{0}}, Terminal: []bool{true}}
-	if _, err := NewQLearner(f, 0, 0.9, 0.1); err == nil {
-		t.Error("alpha 0 accepted")
-	}
-	if _, err := NewQLearner(f, 0.1, 1.0, 0.1); err == nil {
-		t.Error("gamma 1 accepted")
 	}
 }
 
@@ -218,11 +165,11 @@ func TestA3CLearnsPolarWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	factory, err := TraceFactory(model, tr, cfg.Net.HistLen, mdp.DefaultReward(), pricing.Hot)
+	src, err := NewTraceSource(model, tr, cfg.Net.HistLen, mdp.DefaultReward(), pricing.Hot)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := a3c.Train(factory, 30000)
+	stats, err := a3c.TrainFrom(src, 30000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +220,7 @@ func TestA3CSnapshotThreadSafeDuringTraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	factory, err := TraceFactory(model, tr, cfg.Net.HistLen, mdp.DefaultReward(), pricing.Hot)
+	src, err := NewTraceSource(model, tr, cfg.Net.HistLen, mdp.DefaultReward(), pricing.Hot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +236,7 @@ func TestA3CSnapshotThreadSafeDuringTraining(t *testing.T) {
 			}
 		}
 	}()
-	if _, err := a3c.Train(factory, 3000); err != nil {
+	if _, err := a3c.TrainFrom(src, 3000); err != nil {
 		t.Fatal(err)
 	}
 	<-done
@@ -300,33 +247,29 @@ func TestTrainRejectsBadArgs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a3c.Train(nil, 10); err == nil {
-		t.Error("nil factory accepted")
+	if _, err := a3c.TrainFrom(nil, 10); err == nil {
+		t.Error("nil source accepted")
 	}
-	factory := func(r *rng.RNG) *mdp.Env {
-		e, _ := mdp.NewEnv(costmodel.New(pricing.Azure()), 0.1,
-			[]float64{1, 2, 3, 4, 5, 6, 7, 8}, make([]float64, 8), pricing.Hot, 7, mdp.DefaultReward())
-		return e
-	}
-	if _, err := a3c.Train(factory, 0); err == nil {
+	src := polarSource(t, a3c.Config(), 2, 10)
+	if _, err := a3c.TrainFrom(src, 0); err == nil {
 		t.Error("zero steps accepted")
 	}
 }
 
-func TestTraceFactoryValidation(t *testing.T) {
+func TestTraceSourceValidation(t *testing.T) {
 	model := costmodel.New(pricing.Azure())
-	if _, err := TraceFactory(model, &trace.Trace{Days: 5}, 7, mdp.DefaultReward(), pricing.Hot); err == nil {
+	if _, err := NewTraceSource(model, &trace.Trace{Days: 5}, 7, mdp.DefaultReward(), pricing.Hot); err == nil {
 		t.Error("empty trace accepted")
 	}
 	tr := polarTrace(t, 2, 10)
-	if _, err := TraceFactory(model, tr, 0, mdp.DefaultReward(), pricing.Hot); err == nil {
+	if _, err := NewTraceSource(model, tr, 0, mdp.DefaultReward(), pricing.Hot); err == nil {
 		t.Error("zero histLen accepted")
 	}
-	factory, err := TraceFactory(model, tr, 7, mdp.DefaultReward(), pricing.Hot)
+	src, err := NewTraceSource(model, tr, 7, mdp.DefaultReward(), pricing.Hot)
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := factory(rng.New(1))
+	env := src.NewEnv(rng.New(1))
 	if env.Days() != 10 {
 		t.Fatalf("episode days %d", env.Days())
 	}
@@ -339,25 +282,6 @@ func TestNegCostRewardMode(t *testing.T) {
 	}
 	if rc.Reward(0) != rc.Delta {
 		t.Fatal("negcost at zero cost should be Delta")
-	}
-}
-
-func BenchmarkA3CTrainStep(b *testing.B) {
-	tr := polarTrace(b, 8, 14)
-	model := costmodel.New(pricing.Azure())
-	cfg := smallA3CConfig()
-	cfg.Workers = 1
-	a3c, err := NewA3C(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	factory, err := TraceFactory(model, tr, cfg.Net.HistLen, mdp.DefaultReward(), pricing.Hot)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	if _, err := a3c.Train(factory, int64(b.N)); err != nil {
-		b.Fatal(err)
 	}
 }
 

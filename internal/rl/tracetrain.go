@@ -59,17 +59,6 @@ func (s *TraceSource) ReinitEnv(r *rng.RNG, env *mdp.Env) {
 	}
 }
 
-// TraceFactory returns an EnvFactory over a TraceSource's episode
-// distribution; new code should pass NewTraceSource to TrainFrom instead,
-// which also unlocks allocation-free episode turnover.
-func TraceFactory(model *costmodel.Model, tr *trace.Trace, histLen int, reward mdp.RewardConfig, initial pricing.Tier) (EnvFactory, error) {
-	src, err := NewTraceSource(model, tr, histLen, reward, initial)
-	if err != nil {
-		return nil, err
-	}
-	return src.NewEnv, nil
-}
-
 // EvaluateAgent runs the greedy policy over every file in the trace and
 // returns the total bill — the serving-side counterpart of training, used by
 // experiments and tests to score a snapshot. It steps files day-major in

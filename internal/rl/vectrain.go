@@ -201,7 +201,7 @@ func (a *A3C) vecWorker(id int, src EnvSource, totalSteps int64) TrainStats {
 // env's column backward in time, resetting the return at episode
 // boundaries), then one BackwardBatch each. The per-row arithmetic is the
 // reference gradient term for term — advantage clip, entropy bonus, logit
-// decay — identical to accumulateSingle/accumulateBatched.
+// decay — identical to accumulateBatched.
 //
 //minicost:hotpath
 func (a *A3C) accumulateVec(actor, critic *nn.Network, feats *mat.Matrix, rewards []float64, actions []int, dones []bool, boot []float64, vb *vecBuf) {
@@ -232,7 +232,7 @@ func (a *A3C) accumulateVec(actor, critic *nn.Network, feats *mat.Matrix, reward
 			v := values.Row(i)[0]
 			vb.dV.Row(i)[0] = v - ret
 
-			// Actor: ascend A·∇log π(a|s) + β ∇H(π); see accumulateSingle
+			// Actor: ascend A·∇log π(a|s) + β ∇H(π); see accumulateBatched
 			// for the gradient derivation comments.
 			adv := ret - v
 			if a.cfg.AdvClip > 0 {

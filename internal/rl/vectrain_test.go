@@ -4,36 +4,16 @@ import (
 	"bytes"
 	"testing"
 
-	"minicost/internal/costmodel"
 	"minicost/internal/mat"
 	"minicost/internal/mdp"
-	"minicost/internal/pricing"
 	"minicost/internal/rng"
 )
 
-// vecTrainParams runs a fresh trainer with cfg through TrainFrom over a
-// polar-trace TraceSource (the allocation-free episode path the vectorized
-// engine is built for) and returns copies of the final parameter vectors
-// plus stats.
+// vecTrainParams trains through TrainFrom over a polar-trace TraceSource
+// (the allocation-free episode path the vectorized engine is built for).
 func vecTrainParams(t *testing.T, cfg A3CConfig, files, days int, steps int64) ([]float64, []float64, TrainStats) {
 	t.Helper()
-	tr := polarTrace(t, files, days)
-	model := costmodel.New(pricing.Azure())
-	a3c, err := NewA3C(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := NewTraceSource(model, tr, cfg.Net.HistLen, mdp.DefaultReward(), pricing.Hot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := a3c.TrainFrom(src, steps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur := a3c.snap.Load()
-	return append([]float64(nil), cur.actor...),
-		append([]float64(nil), cur.critic...), stats
+	return trainOn(t, cfg, polarSource(t, cfg, files, days), steps, false)
 }
 
 // TestVecTrainerSeedDeterministic pins the vectorized engine's determinism
@@ -55,11 +35,11 @@ func TestVecTrainerSeedDeterministic(t *testing.T) {
 }
 
 // TestTrainFromAtE1MatchesSingleSampleBitwise extends the engine-equivalence
-// chain to the new entry points: EnvsPerWorker=1 dispatches to the classic
-// worker, and a TraceSource's in-place ReinitEnv must be observationally
-// identical to building a fresh env per episode, so a TrainFrom run at E=1
-// must stay bitwise-identical to the preserved single-sample reference
-// driven through the factory path.
+// chain to the production entry point: EnvsPerWorker=1 dispatches to the
+// classic worker, and a TraceSource's in-place ReinitEnv must be
+// observationally identical to building a fresh env per episode, so a
+// TrainFrom run at E=1 must stay bitwise-identical to the per-sample
+// reference driven through a fresh-env source (envFunc).
 func TestTrainFromAtE1MatchesSingleSampleBitwise(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test")
@@ -71,8 +51,7 @@ func TestTrainFromAtE1MatchesSingleSampleBitwise(t *testing.T) {
 
 	ref := cfg
 	ref.EnvsPerWorker = 0
-	ref.SingleSample = true
-	wantA, wantC, wantStats := trainParams(t, ref, 8, 14, steps)
+	wantA, wantC, wantStats := singleSampleParams(t, ref, 8, 14, steps)
 	gotA, gotC, gotStats := vecTrainParams(t, cfg, 8, 14, steps)
 
 	if gotStats != wantStats {
@@ -122,12 +101,7 @@ func TestVecCheckpointRoundTripResumesTraining(t *testing.T) {
 	cfg.Optimizer = "sgd"
 	cfg.FinalLRFraction = 1
 
-	tr := polarTrace(t, 8, 14)
-	model := costmodel.New(pricing.Azure())
-	src, err := NewTraceSource(model, tr, cfg.Net.HistLen, mdp.DefaultReward(), pricing.Hot)
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := polarSource(t, cfg, 8, 14)
 
 	orig, err := NewA3C(cfg)
 	if err != nil {

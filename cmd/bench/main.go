@@ -25,6 +25,10 @@
 // the machine's real cores — on a single-core container a "workers=8" row
 // measures goroutine multiplexing, not parallel scaling, and says so.
 //
+// Every report also carries a machine block — CPU model, nproc, Go version
+// and the git commit of the working tree (`git rev-parse HEAD`, "+dirty"
+// when tracked files differ) — so rows are compared only across one setup.
+//
 // Training mode additionally emits an envs-per-worker ladder: the vectorized
 // lockstep engine (A3CConfig.EnvsPerWorker) rerun at each -envs width on one
 // worker, tagged with a speedup_vs_e1 field — unlike the worker ladder this
@@ -138,6 +142,7 @@ type evalResult struct {
 type report struct {
 	Benchmark  string          `json:"benchmark"`
 	GoMaxProc  int             `json:"gomaxprocs"`
+	Machine    machine         `json:"machine"`
 	Results    []result        `json:"results,omitempty"`
 	Training   []trainResult   `json:"training,omitempty"`
 	Evaluation []evalResult    `json:"evaluation,omitempty"`
@@ -282,7 +287,7 @@ func efficiency(throughput, baseThroughput float64, workers, baseWorkers int) fl
 func stampProcs(gmp int) (int, bool) { return gmp, gmp > runtime.NumCPU() }
 
 func benchInference(files, days, rounds int, scale []int) report {
-	rep := report{Benchmark: "inference", GoMaxProc: runtime.GOMAXPROCS(0)}
+	rep := newReport("inference")
 	for _, cfg := range benchConfigs {
 		agent := rl.NewAgent(cfg.net, cfg.net.BuildActor(rng.New(7)))
 		gen := trace.DefaultGenConfig()
@@ -334,7 +339,7 @@ func benchInference(files, days, rounds int, scale []int) report {
 }
 
 func benchTraining(steps int64, workers, rounds int, scale, envs []int) report {
-	rep := report{Benchmark: "training", GoMaxProc: runtime.GOMAXPROCS(0)}
+	rep := newReport("training")
 	for _, cfg := range benchConfigs {
 		// The training workload mirrors the rl bench tests: a small polar
 		// trace keeps env stepping cheap so network passes dominate.
@@ -424,7 +429,7 @@ func benchTraining(steps int64, workers, rounds int, scale, envs []int) report {
 // the trained one — equivalence and runtime are weight-independent — so the
 // bench measures evaluation, not training.
 func benchEvaluation(rounds int, scale []int) report {
-	rep := report{Benchmark: "evaluation", GoMaxProc: runtime.GOMAXPROCS(0)}
+	rep := newReport("evaluation")
 	for _, lc := range []struct {
 		name string
 		cfg  experiments.Config

@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"minicost/internal/agentserver"
@@ -44,7 +43,7 @@ var servingNet = rl.NetConfig{HistLen: 7, Filters: 16, Kernel: 4, Stride: 1, Hid
 // 1% of the population between plans — the steady-state shape where the
 // dirty set is small against the tracked world.
 func benchServing(populations []int, rounds int) report {
-	rep := report{Benchmark: "serving", GoMaxProc: runtime.GOMAXPROCS(0)}
+	rep := newReport("serving")
 	const ingestDays = 8 // fills the 7-day window, plus one steady-state sweep
 	for pi, files := range populations {
 		shardCounts := []int{agentserver.DefaultShards}

@@ -7,6 +7,9 @@ package mat
 //go:noescape
 func dotPack16AVX(a, bp, acc []float64)
 
+//go:noescape
+func convReLUPack16AVX(x, bp, bias, y []float64, stride, ol int)
+
 func cpuidAsm(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbvAsm() (eax, edx uint32)
@@ -36,4 +39,12 @@ func dotPack16(a, bp, acc []float64) {
 		return
 	}
 	dotPack16Generic(a, bp, acc)
+}
+
+func convReLUPack16(x, bp, bias, y []float64, stride, ol int) {
+	if haveAVX {
+		convReLUPack16AVX(x, bp, bias, y, stride, ol)
+		return
+	}
+	convReLUPack16Generic(x, bp, bias, y, stride, ol)
 }

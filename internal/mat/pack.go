@@ -227,6 +227,81 @@ func mulPackBlock(dst, a *Matrix, pb *PackedTransB, bias []float64, lo, hi int) 
 	}
 }
 
+// ConvReLURow computes one sample row of the fused conv front-end,
+//
+//	y[f*ol+t] = max(0, bias[f] + Σ_k x[t*stride+k]·W[f][k])
+//
+// for every filter f and output position t, where W (filters×kernel) is
+// pre-packed by PackTransBTo and ol = (len(x)-kernel)/stride + 1. Windows
+// are read straight from x (no im2col gather); each 16-filter tile seeds its
+// lanes with the bias, runs the packed kernel's k-sequential dot product,
+// rectifies in the epilogue and stores every value in its channel-major
+// slot, so the caller needs neither a layout restore nor a separate
+// activation pass. Per element this is the reference Conv1D.Forward
+// accumulation followed by ReLU's `v > 0 ? v : 0` (NaN and -0 become +0),
+// so the result is bitwise identical to the unfused composition. The
+// ragged last tile runs per-lane scalar dots over the zero-padded packed
+// lanes, as in mulPackBlock. Only the first filters·ol elements of y are
+// written.
+//
+//minicost:hotpath
+func ConvReLURow(y, x []float64, pb *PackedTransB, bias []float64, stride int) {
+	f, k := pb.Cols, pb.K
+	if stride <= 0 || k <= 0 || k > len(x) || len(bias) != f {
+		panic(fmt.Sprintf("mat: ConvReLURow input %d, kernel %d, stride %d, bias %d for %d filters", len(x), k, stride, len(bias), f))
+	}
+	ol := (len(x)-k)/stride + 1
+	if len(y) < f*ol {
+		panic(fmt.Sprintf("mat: ConvReLURow output %d, want %d", len(y), f*ol))
+	}
+	full := f / packLanes * packLanes
+	for j := 0; j < full; j += packLanes {
+		convReLUPack16(x, pb.Data[j*k:(j+packLanes)*k], bias[j:j+packLanes], y[j*ol:(j+packLanes)*ol], stride, ol)
+	}
+	if full < f {
+		seg := pb.Data[full*k:]
+		for t := 0; t < ol; t++ {
+			win := x[t*stride : t*stride+k]
+			for lane := 0; full+lane < f; lane++ {
+				s := bias[full+lane]
+				for i, v := range win {
+					s += v * seg[i*packLanes+lane]
+				}
+				if s > 0 {
+					y[(full+lane)*ol+t] = s
+				} else {
+					y[(full+lane)*ol+t] = 0
+				}
+			}
+		}
+	}
+}
+
+// convReLUPack16Generic is the portable tile kernel behind ConvReLURow:
+// for each position t, lane j gets bias[j] + Σ_i x[t*stride+i]·bp[i*16+j]
+// (sequential in i), rectified and stored at y[j*ol+t]. It backs
+// convReLUPack16 on non-amd64 builds and on amd64 CPUs without AVX.
+func convReLUPack16Generic(x, bp, bias, y []float64, stride, ol int) {
+	k := len(bp) / packLanes
+	var s [packLanes]float64
+	for t := 0; t < ol; t++ {
+		copy(s[:], bias)
+		for i, v := range x[t*stride : t*stride+k] {
+			w := bp[i*packLanes : i*packLanes+packLanes]
+			for j := range s {
+				s[j] += v * w[j]
+			}
+		}
+		for j, v := range s {
+			if v > 0 {
+				y[j*ol+t] = v
+			} else {
+				y[j*ol+t] = 0
+			}
+		}
+	}
+}
+
 // dotPack16Generic is the portable kernel: acc[lane] += Σ_i a[i]·bp[i*16+lane],
 // each lane sequential in i. It backs dotPack16 on non-amd64 builds and on
 // amd64 CPUs without AVX.

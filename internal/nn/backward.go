@@ -18,9 +18,10 @@ import (
 // row order, each added to the element's running value one at a time. The
 // batched kernels keep exactly that order — Dense's weight gradient runs
 // dW += dYᵀ·X through mat.MulTransAAccTo or mat.MulPackAccTo (both
-// row-sequential, seeded from the existing gradient), Conv1D replays the
-// im2col windows with the reference's
-// zero-gradient skip, and the input-gradient products seed at zero and walk
+// row-sequential, seeded from the existing gradient), ConvFront re-reads
+// the conv windows from its retained input batch and its ReLU mask from
+// its retained output, with the reference's zero-gradient skip, and the
+// input-gradient products seed at zero and walk
 // the output dimension in index order, matching the per-sample loops term
 // for term. Batched training is therefore bitwise identical to the
 // per-sample loop, which the rl equivalence tests pin down.
@@ -103,39 +104,45 @@ func (d *Dense) biasGradRows(lo, hi int) {
 	}
 }
 
-// BackwardBatch implements the batched gradient pass for Conv1D, reusing the
-// im2col buffer ForwardBatch retained: row r·ol+t of c.col is exactly the
-// input window sample r's output position t read, so the gradient pass never
-// re-gathers windows from the input.
-//
-// Two passes, both preserving the reference's `g == 0` skip (rewards are
-// often zero early in a trace, so whole timesteps of critic gradient vanish
-// and the skip is both a real win and part of the bitwise contract):
+// BackwardBatch implements the batched gradient pass for ConvFront. It
+// reads the fused forward's state in place: the conv windows from the
+// retained input batch, the ReLU mask from the retained output (y > 0 is
+// exactly the reference mask x > 0, NaN and -0 included, since the
+// rectifier maps both to +0), and the conv part of dy without copying it
+// out. A conv output position contributes only where the mask is set and
+// its gradient is nonzero — the reference's `g == 0` skip applied to the
+// masked gradient (rewards are often zero early in a trace, so whole
+// timesteps of critic gradient vanish and the skip is both a real win and
+// part of the bitwise contract). Two passes:
 //
 //   - parameter gradients: filter-major, then (row, position) ascending —
 //     for a fixed filter the reference's per-sample f-loop contributes terms
 //     in precisely that order, and distinct filters touch disjoint gradient
 //     elements, so the element-wise accumulation order is unchanged;
 //   - input gradients: row-major with the reference's f-outer/t-inner walk,
-//     each output row scattered back through its filter taps.
-func (c *Conv1D) BackwardBatch(dy *mat.Matrix, workers int) *mat.Matrix {
-	ol := c.outLen()
-	if dy.Cols != c.Filters*ol || dy.Rows != c.brows {
-		panic(fmt.Sprintf("nn: Conv1D BackwardBatch %dx%d, want %dx%d", dy.Rows, dy.Cols, c.brows, c.Filters*ol))
+//     each conv position scattered back through its filter taps, then the
+//     tail gradient copied through.
+func (c *ConvFront) BackwardBatch(dy *mat.Matrix, workers int) *mat.Matrix {
+	if c.bx == nil {
+		panic("nn: ConvFront BackwardBatch before ForwardBatch")
 	}
+	if dy.Rows != c.by.Rows || dy.Cols != c.by.Cols {
+		panic(fmt.Sprintf("nn: ConvFront BackwardBatch %dx%d, want %dx%d", dy.Rows, dy.Cols, c.by.Rows, c.by.Cols))
+	}
+	ol := c.conv.outLen()
 	// Distinct filters own disjoint gradient elements, so the filter loop is
 	// the parallel axis; within one filter the (row, position) walk keeps the
 	// reference accumulation order.
-	if parRows(c.Filters, dy.Rows*ol, workers) {
-		par.ForChunked(c.Filters, workers, func(flo, fhi int) { c.filterGradSpan(dy, ol, flo, fhi) })
+	if parRows(c.conv.Filters, dy.Rows*ol, workers) {
+		par.ForChunked(c.conv.Filters, workers, func(flo, fhi int) { c.filterGradSpan(dy, ol, flo, fhi) })
 	} else {
-		c.filterGradSpan(dy, ol, 0, c.Filters)
+		c.filterGradSpan(dy, ol, 0, c.conv.Filters)
 	}
-	c.bdx = mat.EnsureShape(c.bdx, dy.Rows, c.InLen)
+	c.bdx = mat.EnsureShape(c.bdx, dy.Rows, c.bx.Cols)
 	// Sample rows own disjoint input-gradient rows; each shard zeroes and
 	// then accumulates its own rows with the reference's f-outer/t-inner
 	// walk.
-	if parRows(dy.Rows, c.Filters*ol*c.Kernel, workers) {
+	if parRows(dy.Rows, c.conv.Filters*ol*c.conv.Kernel, workers) {
 		par.ForChunked(dy.Rows, workers, func(rlo, rhi int) { c.inputGradRows(dy, ol, rlo, rhi) })
 	} else {
 		c.inputGradRows(dy, ol, 0, dy.Rows)
@@ -147,52 +154,60 @@ func (c *Conv1D) BackwardBatch(dy *mat.Matrix, workers int) *mat.Matrix {
 // [flo, fhi); distinct filters touch disjoint gradient elements.
 //
 //minicost:hotpath
-func (c *Conv1D) filterGradSpan(dy *mat.Matrix, ol, flo, fhi int) {
+func (c *ConvFront) filterGradSpan(dy *mat.Matrix, ol, flo, fhi int) {
+	k, stride := c.conv.Kernel, c.conv.Stride
 	for f := flo; f < fhi; f++ {
-		gw := c.w.Grad[f*c.Kernel : (f+1)*c.Kernel]
-		bg := c.b.Grad[f]
+		gw := c.conv.w.Grad[f*k : (f+1)*k]
+		bg := c.conv.b.Grad[f]
 		for r := 0; r < dy.Rows; r++ {
-			drow := dy.Row(r)
-			for t := 0; t < ol; t++ {
-				g := drow[f*ol+t]
-				if g == 0 {
+			drow := dy.Row(r)[f*ol : (f+1)*ol]
+			yrow := c.by.Row(r)[f*ol : (f+1)*ol]
+			xrow := c.bx.Row(r)
+			for t, g := range drow {
+				if !(yrow[t] > 0) || g == 0 {
 					continue
 				}
 				bg += g
-				win := c.col.Row(r*ol + t)
-				for k := 0; k < c.Kernel; k++ {
-					gw[k] += g * win[k]
+				win := xrow[t*stride : t*stride+k]
+				for i, v := range win {
+					gw[i] += g * v
 				}
 			}
 		}
-		c.b.Grad[f] = bg
+		c.conv.b.Grad[f] = bg
 	}
 }
 
-// inputGradRows zeroes and accumulates the input-gradient rows [rlo, rhi)
-// with the reference's f-outer/t-inner walk; rows are disjoint.
+// inputGradRows writes the input-gradient rows [rlo, rhi): the head is
+// zeroed and accumulated with the reference's f-outer/t-inner walk, the
+// tail copied from dy; rows are disjoint.
 //
 //minicost:hotpath
-func (c *Conv1D) inputGradRows(dy *mat.Matrix, ol, rlo, rhi int) {
-	for i := rlo * c.InLen; i < rhi*c.InLen; i++ {
-		c.bdx.Data[i] = 0
-	}
+func (c *ConvFront) inputGradRows(dy *mat.Matrix, ol, rlo, rhi int) {
+	k, stride := c.conv.Kernel, c.conv.Stride
+	n := c.conv.Filters * ol
 	for r := rlo; r < rhi; r++ {
 		drow := dy.Row(r)
+		yrow := c.by.Row(r)
 		dxrow := c.bdx.Row(r)
-		for f := 0; f < c.Filters; f++ {
-			w := c.w.Value[f*c.Kernel : (f+1)*c.Kernel]
+		head := dxrow[:c.Head]
+		for i := range head {
+			head[i] = 0
+		}
+		for f := 0; f < c.conv.Filters; f++ {
+			w := c.conv.w.Value[f*k : (f+1)*k]
 			for t := 0; t < ol; t++ {
 				g := drow[f*ol+t]
-				if g == 0 {
+				if !(yrow[f*ol+t] > 0) || g == 0 {
 					continue
 				}
-				base := t * c.Stride
-				for k := 0; k < c.Kernel; k++ {
-					dxrow[base+k] += g * w[k]
+				base := t * stride
+				for i, wv := range w {
+					head[base+i] += g * wv
 				}
 			}
 		}
+		copy(dxrow[c.Head:], drow[n:])
 	}
 }
 
@@ -226,30 +241,6 @@ func (r *ReLU) backwardSpan(dy *mat.Matrix, lo, hi int) {
 			r.bdx.Data[i] = 0
 		}
 	}
-}
-
-// BackwardBatch implements the batched gradient pass for Split: the leading
-// inner-output columns of dy are packed contiguously and sent through the
-// inner network, the tail columns pass through unchanged, mirroring
-// ForwardBatch's concatenation.
-func (s *Split) BackwardBatch(dy *mat.Matrix, workers int) *mat.Matrix {
-	innerOut := s.Inner.OutDim(s.Head)
-	if dy.Cols < innerOut {
-		panic("nn: Split BackwardBatch gradient shorter than inner output")
-	}
-	tail := dy.Cols - innerOut
-	s.bdyHead = mat.EnsureShape(s.bdyHead, dy.Rows, innerOut)
-	for r := 0; r < dy.Rows; r++ {
-		copy(s.bdyHead.Row(r), dy.Row(r)[:innerOut])
-	}
-	dHead := s.Inner.BackwardBatch(s.bdyHead, workers)
-	s.bdx = mat.EnsureShape(s.bdx, dy.Rows, s.Head+tail)
-	for r := 0; r < dy.Rows; r++ {
-		xrow := s.bdx.Row(r)
-		copy(xrow, dHead.Row(r))
-		copy(xrow[s.Head:], dy.Row(r)[innerOut:])
-	}
-	return s.bdx
 }
 
 // BackwardBatch back-propagates a batch of output gradients through the

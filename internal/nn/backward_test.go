@@ -56,9 +56,9 @@ func assertBackwardBatchMatchesSingle(t *testing.T, name string, build func() (*
 	}
 }
 
-// sparseGrad zeroes a fraction of dy's entries so Conv1D's zero-gradient
-// skip path is exercised the way training exercises it (zero rewards ⇒ zero
-// critic gradients for whole timesteps).
+// sparseGrad zeroes a fraction of dy's entries so the conv front-end's
+// zero-gradient skip path is exercised the way training exercises it (zero
+// rewards ⇒ zero critic gradients for whole timesteps).
 func sparseGrad(r *rng.RNG, rows, cols int) *mat.Matrix {
 	dy := randomBatch(r, rows, cols)
 	for i := range dy.Data {
@@ -83,53 +83,43 @@ func TestDenseBackwardBatchBitwise(t *testing.T) {
 	}
 }
 
+// TestConv1DBackwardBatchBitwise pins the fused conv front-end's batched
+// gradient pass (windows and mask read from the retained forward state) to
+// its single-sample Conv1D→ReLU composition, with and without a tail.
 func TestConv1DBackwardBatchBitwise(t *testing.T) {
 	r := rng.New(22)
-	for _, sh := range []struct{ inLen, filters, kernel, stride, batch int }{
-		{8, 3, 4, 1, 1}, {28, 128, 4, 1, 33}, {14, 16, 4, 2, 7},
-	} {
-		c := NewConv1D(rng.New(32), sh.inLen, sh.filters, sh.kernel, sh.stride)
-		outDim := c.OutDim(sh.inLen)
-		x := randomBatch(r, sh.batch, sh.inLen)
-		dy := sparseGrad(r, sh.batch, outDim)
-		assertBackwardBatchMatchesSingle(t, "Conv1D", func() (*Network, *Network) {
-			return NewNetwork(NewConv1D(rng.New(32), sh.inLen, sh.filters, sh.kernel, sh.stride)),
-				NewNetwork(NewConv1D(rng.New(32), sh.inLen, sh.filters, sh.kernel, sh.stride))
-		}, x, dy, 1)
+	for _, sh := range frontShapes {
+		mk := func() *Network {
+			return NewNetwork(NewConvFront(rng.New(32), sh.head, sh.filters, sh.kernel, sh.stride))
+		}
+		in := sh.head + sh.tail
+		for _, workers := range []int{1, 0} {
+			x := randomBatch(r, sh.batch, in)
+			dy := sparseGrad(r, sh.batch, mk().OutDim(in))
+			assertBackwardBatchMatchesSingle(t, "ConvFront", func() (*Network, *Network) { return mk(), mk() }, x, dy, workers)
+		}
 	}
 }
 
-func TestReLUAndSplitBackwardBatchBitwise(t *testing.T) {
+func TestReLUBackwardBatchBitwise(t *testing.T) {
 	r := rng.New(23)
 	assertBackwardBatchMatchesSingle(t, "ReLU", func() (*Network, *Network) {
 		return NewNetwork(NewReLU()), NewNetwork(NewReLU())
 	}, randomBatch(r, 9, 21), randomBatch(r, 9, 21), 1)
-
-	build := func() (*Network, *Network) {
-		mk := func() *Network {
-			seed := rng.New(33)
-			return NewNetwork(NewSplit(14, NewNetwork(NewConv1D(seed, 14, 8, 4, 1), NewReLU())))
-		}
-		return mk(), mk()
-	}
-	x := randomBatch(r, 11, 20)
-	outDim := func() int { n, _ := build(); return n.OutDim(20) }()
-	assertBackwardBatchMatchesSingle(t, "Split", build, x, sparseGrad(r, 11, outDim), 1)
 }
 
 // TestNetworkBackwardBatchBitwise runs the full MiniCost-shaped stack
-// (Split(Conv1D→ReLU) → Dense → ReLU → Dense) through the batched gradient
-// pass and pins bitwise equality to the per-sample reference.
+// (ConvFront → Dense → ReLU → Dense) through the batched gradient pass and
+// pins bitwise equality to the per-sample reference.
 func TestNetworkBackwardBatchBitwise(t *testing.T) {
 	r := rng.New(24)
 	head := 28
 	mk := func() *Network {
 		seed := rng.New(34)
-		front := NewNetwork(NewConv1D(seed, head, 32, 4, 1), NewReLU())
-		concat := front.OutDim(head) + 6
+		front := NewConvFront(seed, head, 32, 4, 1)
 		return NewNetwork(
-			NewSplit(head, front),
-			NewDense(seed, concat, 64),
+			front,
+			NewDense(seed, front.OutDim(head+6), 64),
 			NewReLU(),
 			NewDense(seed, 64, 3),
 		)
@@ -175,22 +165,30 @@ func TestBackwardBatchAccumulatesAcrossBatches(t *testing.T) {
 
 // TestBackwardBatchSteadyStateAllocFree pins the buffer-reuse contract: after
 // warm-up, repeated same-shape ForwardBatch+BackwardBatch rounds allocate
-// nothing.
+// nothing — for the agent-shaped stack and for a bare front-end with ragged
+// filter tiles, stride 2 and a pass-through tail.
 func TestBackwardBatchSteadyStateAllocFree(t *testing.T) {
 	r := rng.New(26)
 	seed := rng.New(36)
-	front := NewNetwork(NewConv1D(seed, 14, 16, 4, 1), NewReLU())
-	concat := front.OutDim(14) + 5
-	net := NewNetwork(NewSplit(14, front), NewDense(seed, concat, 32), NewReLU(), NewDense(seed, 32, 3))
-	x := randomBatch(r, 21, 19)
-	dy := randomBatch(r, 21, 3)
-	net.ForwardBatch(x, 1)
-	net.BackwardBatch(dy, 1)
-	allocs := testing.AllocsPerRun(10, func() {
-		net.ForwardBatch(x, 1)
-		net.BackwardBatch(dy, 1)
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state batched train pass allocates %v times per round, want 0", allocs)
+	front := NewConvFront(seed, 14, 16, 4, 1)
+	for _, c := range []struct {
+		name   string
+		net    *Network
+		in, dy int
+	}{
+		{"agent stack", NewNetwork(front, NewDense(seed, front.OutDim(19), 32), NewReLU(), NewDense(seed, 32, 3)), 19, 3},
+		{"ragged front-end", NewNetwork(NewConvFront(seed, 13, 33, 5, 2)), 15, 33*5 + 2},
+	} {
+		x := randomBatch(r, 21, c.in)
+		dy := randomBatch(r, 21, c.dy)
+		c.net.ForwardBatch(x, 1)
+		c.net.BackwardBatch(dy, 1)
+		allocs := testing.AllocsPerRun(10, func() {
+			c.net.ForwardBatch(x, 1)
+			c.net.BackwardBatch(dy, 1)
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: steady-state batched train pass allocates %v times per round, want 0", c.name, allocs)
+		}
 	}
 }

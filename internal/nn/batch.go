@@ -8,18 +8,21 @@ import (
 )
 
 // Batched forward: ForwardBatch runs a whole batch of samples (one per
-// matrix row) through a layer with one GEMM per parameterized layer, instead
-// of len(batch) single-sample passes. It serves two callers: the serving-side
+// matrix row) through a layer in one pass — a GEMM per Dense layer, one
+// fused conv+bias+ReLU kernel per row for the ConvFront — instead of
+// len(batch) single-sample passes. It serves two callers: the serving-side
 // inference engine (policy.RL, the agent server) and the batched training
 // path (rl's A3C workers), which follows it with BackwardBatch (backward.go).
 // The single-sample Forward/Backward remains the reference implementation the
 // equivalence tests compare against.
 //
 // To support the gradient pass, each layer retains what BackwardBatch needs:
-// Dense and ReLU keep a pointer to the input batch, Conv1D keeps its im2col
-// buffer (the gradient pass reads the same windows the forward GEMM did).
-// The retained input is a pointer into the previous layer's output buffer, so
-// BackwardBatch must run before that layer's next ForwardBatch.
+// Dense and ReLU keep a pointer to the input batch; ConvFront keeps a
+// pointer to its input batch (the gradient pass re-reads the conv windows
+// from it) and its own output (the ReLU mask). A retained input is a
+// pointer into the previous layer's output buffer — or, for the first
+// layer, the caller's matrix — so BackwardBatch must run before that
+// buffer is next overwritten.
 //
 // Exactness: every kernel accumulates each output element in the same
 // floating-point order as the single-sample Forward (bias seed, then the
@@ -47,8 +50,8 @@ import (
 const packMinRows = 16
 
 // parMinFloats is the per-call element traffic below which the batched
-// layers' data-movement loops (im2col gather, layout restore, elementwise
-// activation, bias reduction) stay serial even when workers > 1: under ~16k
+// layers' row loops (fused conv rows, elementwise activation, bias
+// reduction, conv gradients) stay serial even when workers > 1: under ~16k
 // floats the goroutine fan-out costs more than the copy it shards.
 const parMinFloats = 1 << 14
 
@@ -87,64 +90,44 @@ func (d *Dense) ForwardBatch(x *mat.Matrix, workers int) *mat.Matrix {
 	return d.by
 }
 
-// ForwardBatch implements the batched pass for Conv1D via im2col + GEMM:
-// every (sample, output position) pair becomes one row of the column
-// matrix, a single GEMM against the filter bank computes all responses, and
-// a strided copy restores the layer's channel-major output layout.
-func (c *Conv1D) ForwardBatch(x *mat.Matrix, workers int) *mat.Matrix {
-	if x.Cols != c.InLen {
-		panic(fmt.Sprintf("nn: Conv1D batch input %d, want %d", x.Cols, c.InLen))
+// ForwardBatch implements the batched pass for ConvFront: one fused kernel
+// per sample row (mat.ConvReLURow) reads the conv windows straight from the
+// input row, seeds each 16-filter tile with the bias, rectifies in the
+// epilogue and writes every value into its channel-major slot of the output
+// row the next Dense reads; the tail features are then copied in behind
+// it. There is no im2col, layout-restore, activation or concatenation pass.
+// The filter bank is repacked on every call (a Filters×Kernel copy), so
+// weight updates between calls are always picked up.
+func (c *ConvFront) ForwardBatch(x *mat.Matrix, workers int) *mat.Matrix {
+	if x.Cols < c.Head {
+		panic(fmt.Sprintf("nn: ConvFront batch input %d shorter than head %d", x.Cols, c.Head))
 	}
-	ol := c.outLen()
-	c.brows = x.Rows
-	c.col = mat.EnsureShape(c.col, x.Rows*ol, c.Kernel)
-	if parRows(x.Rows, ol*c.Kernel, workers) {
-		par.ForChunked(x.Rows, workers, func(lo, hi int) { c.im2colRows(x, ol, lo, hi) })
-	} else {
-		c.im2colRows(x, ol, 0, x.Rows)
-	}
+	c.bx = x
 	if c.wView == nil {
-		c.wView = &mat.Matrix{Rows: c.Filters, Cols: c.Kernel}
+		c.wView = &mat.Matrix{Rows: c.conv.Filters, Cols: c.conv.Kernel}
 	}
-	c.wView.Data = c.w.Value
-	c.wpack = mat.PackTransBParTo(c.wpack, c.wView, workers)
-	c.gemm = mat.MulPackTransBBiasTo(c.gemm, c.col, c.wpack, c.b.Value, workers)
-	c.by = mat.EnsureShape(c.by, x.Rows, c.Filters*ol)
-	if parRows(x.Rows, ol*c.Filters, workers) {
-		par.ForChunked(x.Rows, workers, func(lo, hi int) { c.restoreRows(ol, lo, hi) })
+	c.wView.Data = c.conv.w.Value
+	c.wpack = mat.PackTransBTo(c.wpack, c.wView)
+	n := c.conv.OutDim(c.Head)
+	c.by = mat.EnsureShape(c.by, x.Rows, n+x.Cols-c.Head)
+	if parRows(x.Rows, n*c.conv.Kernel, workers) {
+		par.ForChunked(x.Rows, workers, func(lo, hi int) { c.forwardRows(x, n, lo, hi) })
 	} else {
-		c.restoreRows(ol, 0, x.Rows)
+		c.forwardRows(x, n, 0, x.Rows)
 	}
 	return c.by
 }
 
-// im2colRows gathers the input windows for sample rows [lo, hi) into the
-// im2col buffer; rows write disjoint buffer spans.
+// forwardRows fills output rows [lo, hi): the fused conv+bias+ReLU head,
+// then the passed-through tail; rows write disjoint output rows.
 //
 //minicost:hotpath
-func (c *Conv1D) im2colRows(x *mat.Matrix, ol, lo, hi int) {
+func (c *ConvFront) forwardRows(x *mat.Matrix, n, lo, hi int) {
 	for r := lo; r < hi; r++ {
 		xrow := x.Row(r)
-		base := r * ol * c.Kernel
-		for t := 0; t < ol; t++ {
-			copy(c.col.Data[base+t*c.Kernel:base+(t+1)*c.Kernel], xrow[t*c.Stride:t*c.Stride+c.Kernel])
-		}
-	}
-}
-
-// restoreRows copies the GEMM output back into the layer's channel-major
-// layout for sample rows [lo, hi); rows write disjoint output rows.
-//
-//minicost:hotpath
-func (c *Conv1D) restoreRows(ol, lo, hi int) {
-	for r := lo; r < hi; r++ {
 		yrow := c.by.Row(r)
-		for t := 0; t < ol; t++ {
-			grow := c.gemm.Row(r*ol + t)
-			for f, v := range grow {
-				yrow[f*ol+t] = v
-			}
-		}
+		mat.ConvReLURow(yrow[:n], xrow[:c.Head], c.wpack, c.conv.b.Value, c.conv.Stride)
+		copy(yrow[n:], xrow[c.Head:])
 	}
 }
 
@@ -172,28 +155,6 @@ func (r *ReLU) forwardSpan(x *mat.Matrix, lo, hi int) {
 			r.by.Data[i] = 0
 		}
 	}
-}
-
-// ForwardBatch implements the batched pass for Split: the head columns are
-// packed contiguously for the inner network, and its output is concatenated
-// with the untouched tail columns.
-func (s *Split) ForwardBatch(x *mat.Matrix, workers int) *mat.Matrix {
-	if x.Cols < s.Head {
-		panic("nn: Split batch input shorter than head")
-	}
-	s.bhead = mat.EnsureShape(s.bhead, x.Rows, s.Head)
-	for r := 0; r < x.Rows; r++ {
-		copy(s.bhead.Row(r), x.Row(r)[:s.Head])
-	}
-	inner := s.Inner.ForwardBatch(s.bhead, workers)
-	tail := x.Cols - s.Head
-	s.by = mat.EnsureShape(s.by, x.Rows, inner.Cols+tail)
-	for r := 0; r < x.Rows; r++ {
-		yrow := s.by.Row(r)
-		copy(yrow, inner.Row(r))
-		copy(yrow[inner.Cols:], x.Row(r)[s.Head:])
-	}
-	return s.by
 }
 
 // ForwardBatch runs the stack on a batch of samples (one per row). The

@@ -47,33 +47,38 @@ func TestDenseForwardBatchBitwise(t *testing.T) {
 	}
 }
 
+// frontShapes cover the conv front-end with and without a pass-through
+// tail, ragged filter tiles (3, 20, 33), the paper's width, strides 1 and 2
+// and kernels 3-5.
+var frontShapes = []struct{ head, filters, kernel, stride, tail, batch int }{
+	{8, 3, 4, 1, 0, 1}, {28, 128, 4, 1, 6, 33}, {14, 16, 4, 2, 0, 7},
+	{14, 20, 3, 1, 6, 11}, {13, 33, 5, 2, 2, 9},
+}
+
+// TestConv1DForwardBatchBitwise pins the fused conv front-end's batched
+// pass to its single-sample Conv1D→ReLU composition.
 func TestConv1DForwardBatchBitwise(t *testing.T) {
 	r := rng.New(2)
-	for _, sh := range []struct{ inLen, filters, kernel, stride, batch int }{
-		{8, 3, 4, 1, 1}, {28, 128, 4, 1, 33}, {14, 16, 4, 2, 7},
-	} {
-		c := NewConv1D(r, sh.inLen, sh.filters, sh.kernel, sh.stride)
-		assertBatchMatchesSingle(t, "Conv1D", c, randomBatch(r, sh.batch, sh.inLen), 1)
+	for _, sh := range frontShapes {
+		c := NewConvFront(r, sh.head, sh.filters, sh.kernel, sh.stride)
+		for _, workers := range []int{1, 0} {
+			assertBatchMatchesSingle(t, "ConvFront", c, randomBatch(r, sh.batch, sh.head+sh.tail), workers)
+		}
 	}
 }
 
-func TestReLUAndSplitForwardBatchBitwise(t *testing.T) {
+func TestReLUForwardBatchBitwise(t *testing.T) {
 	r := rng.New(3)
 	assertBatchMatchesSingle(t, "ReLU", NewReLU(), randomBatch(r, 9, 21), 1)
-
-	inner := NewNetwork(NewConv1D(r, 14, 8, 4, 1), NewReLU())
-	s := NewSplit(14, inner)
-	assertBatchMatchesSingle(t, "Split", s, randomBatch(r, 11, 20), 1)
 }
 
 func TestNetworkForwardBatchBitwise(t *testing.T) {
 	r := rng.New(4)
 	head := 28
-	front := NewNetwork(NewConv1D(r, head, 32, 4, 1), NewReLU())
-	concat := front.OutDim(head) + 6
+	front := NewConvFront(r, head, 32, 4, 1)
 	n := NewNetwork(
-		NewSplit(head, front),
-		NewDense(r, concat, 64),
+		front,
+		NewDense(r, front.OutDim(head+6), 64),
 		NewReLU(),
 		NewDense(r, 64, 3),
 	)
@@ -103,10 +108,10 @@ func TestNetworkForwardBatchBitwise(t *testing.T) {
 func TestNetworkForwardBatchSteadyStateAllocFree(t *testing.T) {
 	r := rng.New(5)
 	head := 14
-	front := NewNetwork(NewConv1D(r, head, 16, 4, 1), NewReLU())
+	front := NewConvFront(r, head, 16, 4, 1)
 	n := NewNetwork(
-		NewSplit(head, front),
-		NewDense(r, front.OutDim(head)+6, 32),
+		front,
+		NewDense(r, front.OutDim(head+6), 32),
 		NewReLU(),
 		NewDense(r, 32, 3),
 	)

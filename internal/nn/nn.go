@@ -145,19 +145,14 @@ func (d *Dense) clone() Layer {
 
 // Conv1D is a one-dimensional convolution over a single input channel with
 // Filters output channels, kernel size Kernel and stride Stride. The output
-// is flattened channel-major: out[f*outLen+t].
+// is flattened channel-major: out[f*outLen+t]. Its Forward/Backward are the
+// single-sample reference math; networks run it inside ConvFront, whose
+// batched pass fuses the convolution with the rectifier.
 type Conv1D struct {
 	InLen, Filters, Kernel, Stride int
 	w, b                           Param // w[f*Kernel+k], b[f]
 	x                              []float64
 	y, dx                          []float64 // reused buffers
-
-	col, gemm, by *mat.Matrix       // reused im2col / GEMM / batched-output buffers
-	wView         *mat.Matrix       // lazily built view of w.Value as Filters×Kernel
-	wpack         *mat.PackedTransB // reused kernel-layout copy of the filter bank
-
-	brows int         // batch rows seen by the last ForwardBatch (for BackwardBatch)
-	bdx   *mat.Matrix // reused batched input-gradient buffer
 }
 
 // NewConv1D constructs the layer; the paper's setting is Filters=128,
@@ -240,10 +235,10 @@ func (c *Conv1D) Backward(dy []float64) []float64 {
 // Params returns the filter and bias blocks.
 func (c *Conv1D) Params() []*Param { return []*Param{&c.w, &c.b} }
 
-// OutDim implements Layer.
+// OutDim returns the flattened output length Filters·outLen.
 func (c *Conv1D) OutDim(int) int { return c.Filters * c.outLen() }
 
-func (c *Conv1D) clone() Layer {
+func (c *Conv1D) clone() *Conv1D {
 	cc := &Conv1D{InLen: c.InLen, Filters: c.Filters, Kernel: c.Kernel, Stride: c.Stride}
 	cc.w = cloneParam(c.w)
 	cc.b = cloneParam(c.b)
@@ -305,61 +300,70 @@ func (r *ReLU) OutDim(in int) int { return in }
 
 func (r *ReLU) clone() Layer { return &ReLU{} }
 
-// Split applies Inner to the first Head inputs and passes the remaining
-// inputs through unchanged, concatenating the results. MiniCost uses it to
-// run the conv front-end over the request-frequency history while static
-// features (size, tier one-hot, write stats) bypass it — the paper's
-// "results from these layers are then aggregated with other inputs".
-type Split struct {
-	Head      int
-	Inner     *Network
-	y, dx     []float64   // reused buffers
-	bhead, by *mat.Matrix // reused batched head/output buffers
+// ConvFront is the agent's conv front-end: a Conv1D over the first Head
+// inputs (the request-frequency history) followed by ReLU, with the
+// remaining inputs (size, tier one-hot, write stats) passed through and
+// concatenated after the rectified conv output — the paper's "results from
+// these layers are then aggregated with other inputs". Its single-sample
+// Forward/Backward compose the Conv1D and ReLU reference math; its batched
+// pass (batch.go, backward.go) is one fused kernel per sample row. Params
+// are the conv's (filters, then biases), drawn from the rng exactly as
+// NewConv1D draws them.
+type ConvFront struct {
+	Head  int
+	conv  *Conv1D
+	relu  ReLU
+	y, dx []float64 // reused single-sample buffers
 
-	bdyHead, bdx *mat.Matrix // reused batched gradient buffers
+	wView *mat.Matrix       // lazily built view of the filters as Filters×Kernel
+	wpack *mat.PackedTransB // reused kernel-layout copy of the filter bank
+	bx    *mat.Matrix       // input batch retained by ForwardBatch for BackwardBatch
+	by    *mat.Matrix       // reused batched output, also BackwardBatch's ReLU mask
+	bdx   *mat.Matrix       // reused batched input-gradient buffer
 }
 
-// NewSplit wraps inner over the first head inputs.
-func NewSplit(head int, inner *Network) *Split {
-	if head <= 0 {
-		panic("nn: Split head must be positive")
-	}
-	return &Split{Head: head, Inner: inner}
+// NewConvFront builds the front-end over the first head inputs; the
+// paper's setting is 128 filters of size 4 with stride 1.
+func NewConvFront(r *rng.RNG, head, filters, kernel, stride int) *ConvFront {
+	return &ConvFront{Head: head, conv: NewConv1D(r, head, filters, kernel, stride)}
 }
 
 // Forward implements Layer.
-func (s *Split) Forward(x []float64) []float64 {
-	if len(x) < s.Head {
-		panic("nn: Split input shorter than head")
+func (c *ConvFront) Forward(x []float64) []float64 {
+	if len(x) < c.Head {
+		panic(fmt.Sprintf("nn: ConvFront input %d shorter than head %d", len(x), c.Head))
 	}
-	y := s.Inner.Forward(x[:s.Head])
-	if len(s.y) != len(y)+len(x)-s.Head {
-		s.y = make([]float64, len(y)+len(x)-s.Head)
+	h := c.relu.Forward(c.conv.Forward(x[:c.Head]))
+	if len(c.y) != len(h)+len(x)-c.Head {
+		c.y = make([]float64, len(h)+len(x)-c.Head)
 	}
-	copy(s.y, y)
-	copy(s.y[len(y):], x[s.Head:])
-	return s.y
+	copy(c.y, h)
+	copy(c.y[len(h):], x[c.Head:])
+	return c.y
 }
 
 // Backward implements Layer.
-func (s *Split) Backward(dy []float64) []float64 {
-	innerOut := s.Inner.OutDim(s.Head)
-	dHead := s.Inner.Backward(dy[:innerOut])
-	if len(s.dx) != s.Head+len(dy)-innerOut {
-		s.dx = make([]float64, s.Head+len(dy)-innerOut)
+func (c *ConvFront) Backward(dy []float64) []float64 {
+	n := c.conv.OutDim(c.Head)
+	if len(dy) < n {
+		panic("nn: ConvFront Backward gradient shorter than conv output")
 	}
-	copy(s.dx, dHead)
-	copy(s.dx[s.Head:], dy[innerOut:])
-	return s.dx
+	dHead := c.conv.Backward(c.relu.Backward(dy[:n]))
+	if len(c.dx) != c.Head+len(dy)-n {
+		c.dx = make([]float64, c.Head+len(dy)-n)
+	}
+	copy(c.dx, dHead)
+	copy(c.dx[c.Head:], dy[n:])
+	return c.dx
 }
 
 // Params implements Layer.
-func (s *Split) Params() []*Param { return s.Inner.Params() }
+func (c *ConvFront) Params() []*Param { return c.conv.Params() }
 
 // OutDim implements Layer.
-func (s *Split) OutDim(in int) int { return s.Inner.OutDim(s.Head) + in - s.Head }
+func (c *ConvFront) OutDim(in int) int { return c.conv.OutDim(c.Head) + in - c.Head }
 
-func (s *Split) clone() Layer { return &Split{Head: s.Head, Inner: s.Inner.Clone()} }
+func (c *ConvFront) clone() Layer { return &ConvFront{Head: c.Head, conv: c.conv.clone()} }
 
 func cloneParam(p Param) Param {
 	return Param{

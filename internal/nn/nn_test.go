@@ -103,25 +103,26 @@ func TestDeepDenseReLUGradients(t *testing.T) {
 	checkGradients(t, n, 5, 2)
 }
 
+// TestConv1DGradients checks the conv math through the front-end with no
+// pass-through tail (conv then ReLU over the whole input).
 func TestConv1DGradients(t *testing.T) {
 	r := rng.New(12)
-	n := NewNetwork(NewConv1D(r, 10, 3, 4, 1))
+	n := NewNetwork(NewConvFront(r, 10, 3, 4, 1))
 	checkGradients(t, n, 10, 3)
 }
 
 func TestConv1DStride2Gradients(t *testing.T) {
 	r := rng.New(13)
-	n := NewNetwork(NewConv1D(r, 12, 2, 3, 2), NewReLU(), NewDense(r, 2*5, 3))
+	n := NewNetwork(NewConvFront(r, 12, 2, 3, 2), NewDense(r, 2*5, 3))
 	checkGradients(t, n, 12, 4)
 }
 
-func TestSplitGradients(t *testing.T) {
+func TestConvFrontGradients(t *testing.T) {
 	// The paper's architecture shape: conv over the first 8 inputs (the
 	// frequency history), 4 static features pass through, then dense.
 	r := rng.New(14)
-	inner := NewNetwork(NewConv1D(r, 8, 3, 4, 1), NewReLU())
-	concatDim := inner.OutDim(8) + 4
-	n := NewNetwork(NewSplit(8, inner), NewDense(r, concatDim, 10), NewReLU(), NewDense(r, 10, 3))
+	front := NewConvFront(r, 8, 3, 4, 1)
+	n := NewNetwork(front, NewDense(r, front.OutDim(12), 10), NewReLU(), NewDense(r, 10, 3))
 	checkGradients(t, n, 12, 5)
 }
 
@@ -418,9 +419,8 @@ func BenchmarkForwardPaperNet(b *testing.B) {
 	// static features, hidden 128, 3 outputs.
 	r := rng.New(1)
 	hist := 14
-	inner := NewNetwork(NewConv1D(r, hist, 128, 4, 1), NewReLU())
-	concat := inner.OutDim(hist) + 6
-	n := NewNetwork(NewSplit(hist, inner), NewDense(r, concat, 128), NewReLU(), NewDense(r, 128, 3))
+	front := NewConvFront(r, hist, 128, 4, 1)
+	n := NewNetwork(front, NewDense(r, front.OutDim(hist+6), 128), NewReLU(), NewDense(r, 128, 3))
 	x := make([]float64, hist+6)
 	for i := range x {
 		x[i] = r.Float64()
@@ -434,9 +434,8 @@ func BenchmarkForwardPaperNet(b *testing.B) {
 func BenchmarkForwardBackwardPaperNet(b *testing.B) {
 	r := rng.New(1)
 	hist := 14
-	inner := NewNetwork(NewConv1D(r, hist, 128, 4, 1), NewReLU())
-	concat := inner.OutDim(hist) + 6
-	n := NewNetwork(NewSplit(hist, inner), NewDense(r, concat, 128), NewReLU(), NewDense(r, 128, 3))
+	front := NewConvFront(r, hist, 128, 4, 1)
+	n := NewNetwork(front, NewDense(r, front.OutDim(hist+6), 128), NewReLU(), NewDense(r, 128, 3))
 	x := make([]float64, hist+6)
 	dy := []float64{1, -1, 0.5}
 	for i := range x {

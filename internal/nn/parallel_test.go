@@ -8,14 +8,13 @@ import (
 	"minicost/internal/rng"
 )
 
-// agentNet builds the agent-shaped stack (conv front-end behind a Split,
-// hidden Dense, output Dense) at the given widths.
+// agentNet builds the agent-shaped stack (conv front-end, hidden Dense,
+// output Dense) at the given widths.
 func agentNet(r *rng.RNG, head, filters, hidden, out, static int) *Network {
-	front := NewNetwork(NewConv1D(r, head, filters, 4, 1), NewReLU())
-	concat := front.OutDim(head) + static
+	front := NewConvFront(r, head, filters, 4, 1)
 	return NewNetwork(
-		NewSplit(head, front),
-		NewDense(r, concat, hidden),
+		front,
+		NewDense(r, front.OutDim(head+static), hidden),
 		NewReLU(),
 		NewDense(r, hidden, out),
 	)
@@ -43,8 +42,8 @@ func TestForwardBackwardBatchParallelBitwise(t *testing.T) {
 		grads := n.FlattenGrads()
 		x := randomBatch(r, sh.batch, sh.head+6)
 		dy := randomBatch(r, sh.batch, 3)
-		// Sprinkle exact zeros through the output gradient so Conv1D's
-		// zero-skip stays on the tested path.
+		// Sprinkle exact zeros through the output gradient so the conv
+		// front-end's zero-skip stays on the tested path.
 		for i := 0; i < len(dy.Data); i += 3 {
 			dy.Data[i] = 0
 		}

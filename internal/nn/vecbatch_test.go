@@ -15,10 +15,10 @@ import (
 // allocation-free once the layer scratch has seen both.
 
 func vecTestNet(r *rng.RNG, head int) *Network {
-	front := NewNetwork(NewConv1D(r, head, 16, 4, 1), NewReLU())
+	front := NewConvFront(r, head, 16, 4, 1)
 	return NewNetwork(
-		NewSplit(head, front),
-		NewDense(r, front.OutDim(head)+6, 32),
+		front,
+		NewDense(r, front.OutDim(head+6), 32),
 		NewReLU(),
 		NewDense(r, 32, 3),
 	)

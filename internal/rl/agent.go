@@ -48,12 +48,10 @@ func (c NetConfig) featureDim() int { return mdp.FeatureDim(c.HistLen) }
 // interleaved) history block, static features concatenated, one hidden
 // layer, outDim outputs.
 func (c NetConfig) build(r *rng.RNG, outDim int) *nn.Network {
-	head := mdp.HistoryFeatureDim(c.HistLen)
-	front := nn.NewNetwork(nn.NewConv1D(r, head, c.Filters, c.Kernel, c.Stride), nn.NewReLU())
-	concat := front.OutDim(head) + (c.featureDim() - head)
+	front := nn.NewConvFront(r, mdp.HistoryFeatureDim(c.HistLen), c.Filters, c.Kernel, c.Stride)
 	return nn.NewNetwork(
-		nn.NewSplit(head, front),
-		nn.NewDense(r, concat, c.Hidden),
+		front,
+		nn.NewDense(r, front.OutDim(c.featureDim()), c.Hidden),
 		nn.NewReLU(),
 		nn.NewDense(r, c.Hidden, outDim),
 	)
